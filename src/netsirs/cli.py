@@ -46,9 +46,9 @@ def cmd_r0(args: argparse.Namespace) -> int:
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    solved = solve_endemic(model, tol=args.tol)
+    r0, spectral = reproduction_number(model)
+    solved = solve_endemic(model, tol=args.tol, spectral=spectral)
     if isinstance(solved, EndemicEquilibrium):
-        r0, _ = reproduction_number(model)
         print(f"R0 = {r0:.6f}")
         print(f"y_star: {_vec(solved.y_star)}")
         print(f"z_star: {_vec(solved.z_star)}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInitialError, SimplexViolationError
 from .model import FullState, ModelInstance
-from .spectral import SpectralResult, dominant_eigen
+from .spectral import SpectralResult, reproduction_number
 
 SIMPLEX_VIOLATION_TOL = 1e-6
 
@@ -101,8 +101,9 @@ def simulate(
     InvalidInitialError when (1 - y0 - z0, y0, z0) is not a valid state
     and SimplexViolationError when any recorded state leaves the simplex
     by more than SIMPLEX_VIOLATION_TOL; the offending time is named in
-    the message. For lyapunov_trace runs a precomputed SpectralResult for
-    model.M can be passed to skip the eigensolve.
+    the message. Both checks are written so that NaN fails them. For
+    lyapunov_trace runs a precomputed SpectralResult for model.M can be
+    passed to skip the eigensolve.
     """
     cfg = config if config is not None else IntegratorConfig()
     y = np.array(y0, dtype=float)
@@ -111,13 +112,13 @@ def simulate(
         raise InvalidInitialError(
             f"initial vectors must have shape ({model.n},), got {y.shape} and {z.shape}"
         )
-    if np.any(y < 0.0) or np.any(z < 0.0) or np.any(y + z > 1.0 + 1e-12):
+    if not (np.all(y >= 0.0) and np.all(z >= 0.0) and np.all(y + z <= 1.0 + 1e-12)):
         raise InvalidInitialError("initial fractions must be nonnegative with y + z <= 1")
 
     weights = None
     if cfg.lyapunov_trace:
         if spectral is None:
-            spectral = dominant_eigen(model.M)
+            spectral = reproduction_number(model)[1]
         weights = spectral.v_left / model.gamma
 
     W, gamma, delta = model.W, model.gamma, model.delta
@@ -145,10 +146,10 @@ def simulate(
         z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
         if step % every == 0 or step == n_steps:
             t = step * dt
-            if (
-                np.any(y < -SIMPLEX_VIOLATION_TOL)
-                or np.any(z < -SIMPLEX_VIOLATION_TOL)
-                or np.any(1.0 - y - z < -SIMPLEX_VIOLATION_TOL)
+            if not (
+                np.all(y >= -SIMPLEX_VIOLATION_TOL)
+                and np.all(z >= -SIMPLEX_VIOLATION_TOL)
+                and np.all(1.0 - y - z >= -SIMPLEX_VIOLATION_TOL)
             ):
                 raise SimplexViolationError(
                     f"state left the simplex at t = {t:.6g}; reduce dt"

@@ -27,18 +27,21 @@ def load_model(path: str) -> ModelInstance:
     for key in ("n", "W", "gamma", "delta"):
         if key not in data:
             raise ModelInputError(f"model file {path} is missing field {key!r}")
-    n = int(data["n"])
     try:
+        n = int(data["n"])
         W = np.asarray(data["W"], dtype=float)
         gamma = np.asarray(data["gamma"], dtype=float)
         delta = np.asarray(data["delta"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelInputError(f"model file {path} has malformed arrays: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelInputError(f"model file {path} has malformed fields: {exc}") from exc
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ModelInputError(f"model file {path} has a non-string name: {name!r}")
     if W.shape != (n, n):
         raise DimensionMismatchError(f"W must be {n} x {n}, got shape {W.shape}")
     if gamma.shape != (n,) or delta.shape != (n,):
         raise DimensionMismatchError(f"rate vectors must have length {n}")
-    return validate_model(W, gamma, delta, name=data.get("name"))
+    return validate_model(W, gamma, delta, name=name)
 
 
 def model_to_dict(model: ModelInstance) -> dict:

@@ -62,25 +62,12 @@ def _power_sweeps(A: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray,
     )
 
 
-def dominant_eigen(M: np.ndarray, tol: float = 1e-10, max_iter: int = 100000) -> SpectralResult:
-    """Dominant eigenvalue and positive eigenvectors of an irreducible M >= 0.
-
-    Power iteration runs on M + I. The shift makes the iteration matrix
-    primitive even when the support digraph is periodic (a plain power
-    sweep on a two-cycle never settles), moves no eigenvector, and shifts
-    every eigenvalue by one. Sweeps stop once the bracket
-    max_i (Ax)_i/x_i - min_i (Ax)_i/x_i closes to tol; the eigenvalue is
-    then reported as the ratio v_left' M v_right / v_left' v_right, which
-    the bracket pins to the same accuracy.
-    """
-    M = np.asarray(M, dtype=float)
+def _perron(M: np.ndarray, tol: float, max_iter: int) -> SpectralResult:
     n = M.shape[0]
     if n == 1:
         one = np.ones(1)
         return SpectralResult(lam=float(M[0, 0]), v_right=one, v_left=one.copy(),
                               iterations=0, residual=0.0)
-    if not check_irreducible(M):
-        raise NotIrreducibleError("dominant eigenpair needs an irreducible matrix")
     A = M + np.eye(n)
     v_right, it_r = _power_sweeps(A, tol, max_iter)
     v_left, it_l = _power_sweeps(A.T, tol, max_iter)
@@ -92,8 +79,30 @@ def dominant_eigen(M: np.ndarray, tol: float = 1e-10, max_iter: int = 100000) ->
                           iterations=max(it_r, it_l), residual=residual)
 
 
+def dominant_eigen(M: np.ndarray, tol: float = 1e-10, max_iter: int = 100000) -> SpectralResult:
+    """Dominant eigenvalue and positive eigenvectors of an irreducible M >= 0.
+
+    Power iteration runs on M + I. The shift makes the iteration matrix
+    primitive even when the support digraph is periodic (a plain power
+    sweep on a two-cycle never settles), moves no eigenvector, and shifts
+    every eigenvalue by one. Sweeps stop once the bracket
+    max_i (Ax)_i/x_i - min_i (Ax)_i/x_i closes to tol; the eigenvalue is
+    then reported as the ratio v_left' M v_right / v_left' v_right, which
+    the bracket pins to the same accuracy. Raises NotIrreducibleError
+    when the support of M is not strongly connected.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape[0] > 1 and not check_irreducible(M):
+        raise NotIrreducibleError("dominant eigenpair needs an irreducible matrix")
+    return _perron(M, tol, max_iter)
+
+
 def reproduction_number(model: ModelInstance, tol: float = 1e-10,
                         max_iter: int = 100000) -> tuple[float, SpectralResult]:
-    """Reproduction number R0 = rho(M) together with the full eigenpair."""
-    res = dominant_eigen(model.M, tol=tol, max_iter=max_iter)
+    """Reproduction number R0 = rho(M) together with the full eigenpair.
+
+    A ModelInstance comes only from validate_model, which has already
+    proved the support strongly connected, so the check is not repeated.
+    """
+    res = _perron(model.M, tol, max_iter)
     return res.lam, res

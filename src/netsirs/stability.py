@@ -26,7 +26,7 @@ from .errors import (
     SingularShiftError,
 )
 from .model import FullState, ModelInstance
-from .spectral import SpectralResult, dominant_eigen
+from .spectral import SpectralResult, reproduction_number
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -255,7 +255,7 @@ def lyapunov_value(
     precomputed SpectralResult to skip the eigensolve.
     """
     if spectral is None:
-        spectral = dominant_eigen(model.M)
+        spectral = reproduction_number(model)[1]
     return float((spectral.v_left / model.gamma) @ np.asarray(y, dtype=float))
 
 
@@ -272,7 +272,7 @@ def lyapunov_derivative(
     which is nonpositive whenever R0 <= 1.
     """
     if spectral is None:
-        spectral = dominant_eigen(model.M)
+        spectral = reproduction_number(model)[1]
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     drive = (spectral.lam - 1.0) * float(spectral.v_left @ y)
@@ -289,7 +289,7 @@ def lyapunov_point(
 ) -> LyapunovTrace:
     """Bundle value and derivative at one state."""
     if spectral is None:
-        spectral = dominant_eigen(model.M)
+        spectral = reproduction_number(model)[1]
     return LyapunovTrace(
         value=lyapunov_value(model, y, spectral=spectral),
         derivative=lyapunov_derivative(model, y, z, spectral=spectral),

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,8 +11,6 @@ from .errors import NetsirsError
 from .model import ModelInstance, validate_model
 from .spectral import reproduction_number
 from .stability import jacobian_dfe, jacobian_endemic, spectral_abscissa
-
-THREADS_ENV = "NETSIRS_THREADS"
 
 
 @dataclass(frozen=True)
@@ -30,14 +26,6 @@ class SweepRow:
     endemic_abscissa: float
 
 
-def _worker_count(steps: int) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    workers = min(steps, os.cpu_count() or 1)
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return workers
-
-
 def run_sweep(
     model: ModelInstance,
     scale_min: float,
@@ -45,46 +33,38 @@ def run_sweep(
     steps: int,
     tol: float = 1e-12,
 ) -> tuple[list[SweepRow], int]:
-    """Rescale W by each s on a uniform grid and re-solve from scratch.
+    """Rescale W by each s on a uniform grid and re-solve each row.
 
     Returns the rows in grid order plus the number of rows that failed
-    and were recorded as NaN. Rows are independent, so they run on a
-    thread pool; NETSIRS_THREADS caps its size.
+    and were recorded as NaN. The Perron pair of the model is solved once:
+    rho(sM) = s rho(M) and the eigenvectors do not move, so every row
+    reuses it scaled by s. An error of that one solve is not a row
+    failure and propagates to the caller.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    grid = np.linspace(scale_min, scale_max, steps)
-
-    def one(scale: float) -> SweepRow:
-        scaled = validate_model(scale * model.W, model.gamma, model.delta)
-        r0, spectral = reproduction_number(scaled)
-        dfe = spectral_abscissa(jacobian_dfe(scaled))
-        solved = solve_endemic(scaled, tol=tol, spectral=spectral)
-        if isinstance(solved, EndemicEquilibrium):
-            norm = float(np.max(np.abs(solved.y_star)))
-            endemic = spectral_abscissa(
-                jacobian_endemic(scaled, solved.y_star, solved.z_star, tol=tol)
-            )
-        else:
-            norm = 0.0
-            endemic = float("nan")
-        return SweepRow(scale=float(scale), r0=r0, endemic_norm=norm,
-                        dfe_abscissa=dfe, endemic_abscissa=endemic)
-
-    def guarded(scale: float) -> tuple[SweepRow, bool]:
+    _, base = reproduction_number(model)
+    rows: list[SweepRow] = []
+    failures = 0
+    for scale in np.linspace(scale_min, scale_max, steps).tolist():
         try:
-            return one(scale), False
+            scaled = validate_model(scale * model.W, model.gamma, model.delta)
+            spectral = replace(base, lam=scale * base.lam, residual=scale * base.residual)
+            dfe = spectral_abscissa(jacobian_dfe(scaled))
+            solved = solve_endemic(scaled, tol=tol, spectral=spectral)
+            if isinstance(solved, EndemicEquilibrium):
+                norm = float(np.max(np.abs(solved.y_star)))
+                endemic = spectral_abscissa(
+                    jacobian_endemic(scaled, solved.y_star, solved.z_star, tol=tol)
+                )
+            else:
+                norm = 0.0
+                endemic = float("nan")
+            rows.append(SweepRow(scale=scale, r0=spectral.lam, endemic_norm=norm,
+                                 dfe_abscissa=dfe, endemic_abscissa=endemic))
         except NetsirsError:
             nan = float("nan")
-            return SweepRow(scale=float(scale), r0=nan, endemic_norm=nan,
-                            dfe_abscissa=nan, endemic_abscissa=nan), True
-
-    workers = _worker_count(steps)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(guarded, grid))
-    else:
-        results = [guarded(s) for s in grid]
-    rows = [row for row, _ in results]
-    failures = sum(1 for _, failed in results if failed)
+            rows.append(SweepRow(scale=scale, r0=nan, endemic_norm=nan,
+                                 dfe_abscissa=nan, endemic_abscissa=nan))
+            failures += 1
     return rows, failures

@@ -9,34 +9,57 @@ import numpy as np
 import pytest
 
 import helpers
+import netsirs.cli
+import netsirs.equilibrium
+import netsirs.sweep
 from netsirs import (
     DimensionMismatchError,
+    EndemicEquilibrium,
     IntegratorConfig,
     ModelInputError,
     SWEEP_HEADER,
+    jacobian_dfe,
+    jacobian_endemic,
     load_initial,
     load_model,
     model_to_dict,
+    reproduction_number,
     run_sweep,
     sample_initial_states,
     save_model,
     simulate,
+    solve_endemic,
+    spectral_abscissa,
     trajectory_header,
+    validate_model,
     write_sweep_csv,
     write_trajectory_csv,
 )
 
 
-def _write_ref5(path) -> str:
+def _write_ref5(path, **fields) -> str:
     data = {
         "n": 5,
         "W": helpers.REF5_W,
         "gamma": helpers.REF5_GAMMA,
         "delta": helpers.REF5_DELTA,
         "name": "ref5",
+        **fields,
     }
     path.write_text(json.dumps(data))
     return str(path)
+
+
+# fields that load_model must reject with ModelInputError
+_BAD_MODEL_FIELDS = ({"n": None}, {"name": 42})
+
+
+def _counting(fn):
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return fn(*args, **kwargs)
+    counted.calls = 0
+    return counted
 
 
 def _cli(*argv, env=None):
@@ -77,6 +100,9 @@ def test_load_model_error_cases(tmp_path):
     )
     with pytest.raises(DimensionMismatchError):
         load_model(str(shape))
+    for fields in _BAD_MODEL_FIELDS:
+        with pytest.raises(ModelInputError):
+            load_model(_write_ref5(tmp_path / "fields.json", **fields))
 
 
 def test_load_initial(tmp_path):
@@ -157,6 +183,32 @@ def test_sweep_thread_cap_is_deterministic(monkeypatch):
             assert u == v or (np.isnan(u) and np.isnan(v))
 
 
+def test_sweep_solves_perron_pair_once(monkeypatch):
+    m = helpers.ref5()
+    counted = _counting(reproduction_number)
+    monkeypatch.setattr(netsirs.sweep, "reproduction_number", counted)
+    # s <= 0 fails validation; s = 0.0625 is subcritical (R0 = 0.546)
+    rows, failures = run_sweep(m, -0.25, 1.0, 21)
+    assert counted.calls == 1
+    assert failures == 5
+    for row in rows:
+        fields = (row.r0, row.endemic_norm, row.dfe_abscissa, row.endemic_abscissa)
+        if row.scale <= 0.0:
+            assert all(np.isnan(v) for v in fields)
+            continue
+        ref = validate_model(row.scale * m.W, m.gamma, m.delta)
+        r0, spectral = reproduction_number(ref)
+        solved = solve_endemic(ref, spectral=spectral)
+        if isinstance(solved, EndemicEquilibrium):
+            norm = float(np.max(np.abs(solved.y_star)))
+            endemic = spectral_abscissa(jacobian_endemic(ref, solved.y_star, solved.z_star))
+        else:
+            norm, endemic = 0.0, float("nan")
+        expected = (r0, norm, spectral_abscissa(jacobian_dfe(ref)), endemic)
+        assert fields == pytest.approx(expected, rel=1e-12, abs=0.0, nan_ok=True)
+    assert any(row.endemic_norm == 0.0 for row in rows)
+
+
 def test_cli_r0_output(tmp_path):
     model_path = _write_ref5(tmp_path / "ref5.json")
     res = _cli("r0", "--model", model_path)
@@ -175,6 +227,10 @@ def test_cli_rejects_invalid_model(tmp_path):
     assert "error: ReducibleError" in res.stderr
     res = _cli("r0", "--model", str(tmp_path / "nope.json"))
     assert res.returncode == 1
+    for fields in _BAD_MODEL_FIELDS:
+        res = _cli("r0", "--model", _write_ref5(tmp_path / "fields.json", **fields))
+        assert res.returncode == 1
+        assert "error: ModelInputError" in res.stderr
 
 
 def test_cli_solver_failure_exits_two(tmp_path):
@@ -202,6 +258,60 @@ def test_cli_equilibrium_report(tmp_path):
     assert len(data["y_star"]) == 5
     total = np.array(data["y_star"]) + np.array(data["z_star"]) + np.array(data["x_star"])
     assert np.allclose(total, 1.0, atol=1e-9)
+
+
+_REF5_EQUILIBRIUM_STDOUT = """\
+R0 = 8.743346
+y_star: [0.219530706149, 0.16224723877, 0.151089519968, 0.0711378354945, 0.27502757572]
+z_star: [0.731769020495, 0.405618096925, 0.755447599841, 0.711378354945, 0.458379292867]
+x_star: [0.0487002733564, 0.432134664306, 0.0934628801904, 0.217483809561, 0.266593131412]
+iterations: 16
+residual: 3.799e-13
+bracket_gap: 9.746e-13
+wrote {out}
+"""
+
+_REF5_EQUILIBRIUM_JSON = """\
+{
+  "r0": 8.74334622841763,
+  "y_star": [
+    0.21953070614851508,
+    0.16224723876981792,
+    0.151089519968273,
+    0.07113783549447134,
+    0.2750275757203625
+  ],
+  "z_star": [
+    0.7317690204950503,
+    0.4056180969245448,
+    0.755447599841365,
+    0.7113783549447134,
+    0.45837929286727086
+  ],
+  "x_star": [
+    0.048700273356434565,
+    0.43213466430563724,
+    0.09346288019036197,
+    0.21748380956081526,
+    0.2665931314123666
+  ],
+  "iterations": 16,
+  "residual": 3.7991831902672857e-13,
+  "bracket_gap": 9.745537710159624e-13
+}
+"""
+
+
+def test_cli_equilibrium_solves_r0_once(tmp_path, monkeypatch, capsys):
+    model_path = _write_ref5(tmp_path / "ref5.json")
+    out = tmp_path / "eq.json"
+    counted = _counting(reproduction_number)
+    monkeypatch.setattr(netsirs.cli, "reproduction_number", counted)
+    monkeypatch.setattr(netsirs.equilibrium, "reproduction_number", counted)
+    assert netsirs.cli.main(["equilibrium", "--model", model_path, "--out", str(out)]) == 0
+    assert counted.calls == 1
+    assert capsys.readouterr().out == _REF5_EQUILIBRIUM_STDOUT.format(out=out)
+    assert out.read_text() == _REF5_EQUILIBRIUM_JSON
 
 
 def test_cli_equilibrium_subcritical(tmp_path):
@@ -244,6 +354,33 @@ def test_cli_simulate_single_and_multi(tmp_path):
     res = _cli("simulate", "--model", model_path, "--init", str(init),
                "--random", "2", "--out", str(out))
     assert res.returncode == 1
+
+
+def test_cli_simulate_rejects_nan_initial(tmp_path):
+    model_path = _write_ref5(tmp_path / "ref5.json")
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"y0": [float("nan"), 0.1, 0.0, 0.0, 0.0],
+                                "z0": [0.0] * 5}))
+    out = tmp_path / "run.csv"
+    res = _cli("simulate", "--model", model_path, "--init", str(init), "--out", str(out))
+    assert res.returncode == 1
+    assert "error: InvalidInitialError" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_simulate_flags_nan_between_records(tmp_path):
+    # the run overflows to NaN between the first and the last recorded
+    # row; the final recorded state must fail the simplex check
+    model_path = _write_ref5(tmp_path / "ref5.json")
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"y0": [0.1, 0.0, 0.2, 0.0, 0.0], "z0": [0.0] * 5}))
+    out = tmp_path / "run.csv"
+    res = _cli("simulate", "--model", model_path, "--init", str(init),
+               "--dt", "1.0", "--t-end", "400", "--record-every", "1000000000",
+               "--out", str(out))
+    assert res.returncode == 2
+    assert "error: SimplexViolationError" in res.stderr
+    assert not out.exists()
 
 
 def test_cli_simulate_is_deterministic(tmp_path):
