@@ -97,20 +97,25 @@ def simulate(
 ) -> Trajectory:
     """Integrate from (y0, z0) and record every record_every-th step.
 
-    The initial state and the final step are always recorded. Raises
+    The initial state and the final step are always recorded. The state
+    is one stacked vector u = [y; z]; every stage writes into buffers
+    allocated once before the loop, and the recorded rows go into output
+    arrays sized up front, so no step allocates an array. Raises
     InvalidInitialError when (1 - y0 - z0, y0, z0) is not a valid state
-    and SimplexViolationError when any recorded state leaves the simplex
-    by more than SIMPLEX_VIOLATION_TOL; the offending time is named in
-    the message. Both checks are written so that NaN fails them. For
-    lyapunov_trace runs a precomputed SpectralResult for model.M can be
-    passed to skip the eigensolve.
+    and SimplexViolationError as soon as a recorded state leaves the
+    simplex by more than SIMPLEX_VIOLATION_TOL; each row is checked as it
+    is recorded, so the run stops at the first bad record, whose time is
+    named in the message. Both checks are written so that NaN fails them.
+    For lyapunov_trace runs a precomputed SpectralResult for model.M can
+    be passed to skip the eigensolve.
     """
     cfg = config if config is not None else IntegratorConfig()
     y = np.array(y0, dtype=float)
     z = np.array(z0, dtype=float)
-    if y.shape != (model.n,) or z.shape != (model.n,):
+    n = model.n
+    if y.shape != (n,) or z.shape != (n,):
         raise InvalidInitialError(
-            f"initial vectors must have shape ({model.n},), got {y.shape} and {z.shape}"
+            f"initial vectors must have shape ({n},), got {y.shape} and {z.shape}"
         )
     if not (np.all(y >= 0.0) and np.all(z >= 0.0) and np.all(y + z <= 1.0 + 1e-12)):
         raise InvalidInitialError("initial fractions must be nonnegative with y + z <= 1")
@@ -121,51 +126,84 @@ def simulate(
             spectral = reproduction_number(model)[1]
         weights = spectral.v_left / model.gamma
 
-    W, gamma, delta = model.W, model.gamma, model.delta
+    W = model.W
     dt = float(cfg.dt)
     half = 0.5 * dt
     sixth = dt / 6.0
     n_steps = int(round(cfg.t_end / dt))
     every = int(cfg.record_every)
+    m = 1 + n_steps // every + (1 if n_steps % every else 0)
 
-    times = [0.0]
-    ys = [y.copy()]
-    zs = [z.copy()]
-    values = [float(weights @ y)] if weights is not None else None
+    # Every buffer is allocated here, once. Each is a (whole, y half, z half)
+    # triple of views; f and the step write into them with out= in the
+    # operation order of the plain expressions in the comments, so every
+    # float is the one those expressions give.
+    def halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return v, v[:n], v[n:]
 
-    def f(yv: np.ndarray, zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inf = (1.0 - yv - zv) * (W @ yv)
-        return inf - gamma * yv, gamma * yv - delta * zv
+    state = halves(np.concatenate([y, z]))
+    u, uy, uz = state
+    stage = halves(np.empty(2 * n))
+    k1, k2, k3, k4 = (halves(np.empty(2 * n)) for _ in range(4))
+    outflow, outflow_y, outflow_z = halves(np.empty(2 * n))
+    rate = np.concatenate([model.gamma, model.delta])
+    s = np.empty(n)
+    wy = np.empty(n)
+    acc = np.empty(2 * n)
+    add, sub, mul, dot, lowest = np.add, np.subtract, np.multiply, np.dot, np.minimum.reduce
 
+    times = np.empty(m)
+    states = np.empty((m, 2 * n))
+    x = np.empty((m, n))
+    values = np.empty(m) if weights is not None else None
+
+    def f(v: tuple, k: tuple) -> None:
+        # k = [(1 - y - z) * (W @ y) - gamma * y; gamma * y - delta * z] at v = [y; z]
+        v, vy, vz = v
+        sub(1.0, vy, s)
+        sub(s, vz, s)
+        dot(W, vy, wy)
+        mul(s, wy, s)
+        mul(rate, v, outflow)
+        sub(s, outflow_y, k[1])
+        sub(outflow_y, outflow_z, k[2])
+
+    def record(row: int, t: float) -> None:
+        times[row] = t
+        states[row] = u
+        x_row = x[row]
+        sub(1.0, uy, x_row)
+        sub(x_row, uz, x_row)
+        if not (lowest(u) >= -SIMPLEX_VIOLATION_TOL and lowest(x_row) >= -SIMPLEX_VIOLATION_TOL):
+            raise SimplexViolationError(f"state left the simplex at t = {t:.6g}; reduce dt")
+        if values is not None:
+            values[row] = float(weights @ uy)
+
+    record(0, 0.0)
+    row = 1
+    ahead = stage[0]
     for step in range(1, n_steps + 1):
-        k1y, k1z = f(y, z)
-        k2y, k2z = f(y + half * k1y, z + half * k1z)
-        k3y, k3z = f(y + half * k2y, z + half * k2z)
-        k4y, k4z = f(y + dt * k3y, z + dt * k3z)
-        y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+        f(state, k1)
+        add(u, mul(k1[0], half, ahead), ahead)  # u + half * k1
+        f(stage, k2)
+        add(u, mul(k2[0], half, ahead), ahead)
+        f(stage, k3)
+        add(u, mul(k3[0], dt, ahead), ahead)
+        f(stage, k4)
+        # u + sixth * (k1 + 2 * (k2 + k3) + k4)
+        add(k2[0], k3[0], acc)
+        mul(acc, 2.0, acc)
+        add(k1[0], acc, acc)
+        add(acc, k4[0], acc)
+        add(u, mul(acc, sixth, acc), u)
         if step % every == 0 or step == n_steps:
-            t = step * dt
-            if not (
-                np.all(y >= -SIMPLEX_VIOLATION_TOL)
-                and np.all(z >= -SIMPLEX_VIOLATION_TOL)
-                and np.all(1.0 - y - z >= -SIMPLEX_VIOLATION_TOL)
-            ):
-                raise SimplexViolationError(
-                    f"state left the simplex at t = {t:.6g}; reduce dt"
-                )
-            times.append(t)
-            ys.append(y.copy())
-            zs.append(z.copy())
-            if values is not None:
-                values.append(float(weights @ y))
+            record(row, step * dt)
+            row += 1
 
-    y_arr = np.array(ys)
-    z_arr = np.array(zs)
     return Trajectory(
-        times=np.array(times),
-        y=y_arr,
-        z=z_arr,
-        x=1.0 - y_arr - z_arr,
-        lyapunov=np.array(values) if values is not None else None,
+        times=times,
+        y=states[:, :n],
+        z=states[:, n:],
+        x=x,
+        lyapunov=values,
     )

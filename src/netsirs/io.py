@@ -17,18 +17,29 @@ from .model import ModelInstance, validate_model
 from .dynamics import Trajectory
 
 
-def load_model(path: str) -> ModelInstance:
-    """Read and validate a model JSON file; validation errors propagate."""
+def _load_object(path: str, what: str) -> dict:
+    """Parse a JSON file that must hold an object."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelInputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ModelInputError(f"{what} file {path} must hold a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_model(path: str) -> ModelInstance:
+    """Read and validate a model JSON file; validation errors propagate."""
+    data = _load_object(path, "model")
     for key in ("n", "W", "gamma", "delta"):
         if key not in data:
             raise ModelInputError(f"model file {path} is missing field {key!r}")
+    n = data["n"]
+    if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
+        raise ModelInputError(f"model file {path} has a non-integer n: {n!r}")
     try:
-        n = int(data["n"])
+        n = int(n)
         W = np.asarray(data["W"], dtype=float)
         gamma = np.asarray(data["gamma"], dtype=float)
         delta = np.asarray(data["delta"], dtype=float)
@@ -64,11 +75,7 @@ def save_model(model: ModelInstance, path: str) -> None:
 
 def load_initial(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read {"y0": [...], "z0": [...]} from JSON."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelInputError(f"{path} is not valid JSON: {exc}") from exc
+    data = _load_object(path, "initial-condition")
     for key in ("y0", "z0"):
         if key not in data:
             raise ModelInputError(f"initial-condition file {path} is missing {key!r}")
@@ -114,20 +121,27 @@ def trajectory_header(n: int, lyapunov: bool) -> str:
     return ",".join(cols)
 
 
+# rows per write: the formatted text of one chunk stays small
+CSV_CHUNK_ROWS = 1000
+
+
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
-    n = trajectory.y.shape[1]
+    """Write one row per recorded state, every number as format(v, ".12g").
+
+    The values go into one table first; each row is then a single
+    %-format, written in chunks of CSV_CHUNK_ROWS rows.
+    """
     with_v = trajectory.lyapunov is not None
-    lines = [trajectory_header(n, with_v)]
-    for k in range(len(trajectory)):
-        row = [_num(trajectory.times[k])]
-        row += [_num(v) for v in trajectory.y[k]]
-        row += [_num(v) for v in trajectory.z[k]]
-        row += [_num(v) for v in trajectory.x[k]]
-        if with_v:
-            row.append(_num(trajectory.lyapunov[k]))
-        lines.append(",".join(row))
+    columns = [trajectory.times[:, None], trajectory.y, trajectory.z, trajectory.x]
+    if with_v:
+        columns.append(trajectory.lyapunov[:, None])
+    table = np.hstack(columns)
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(trajectory_header(trajectory.y.shape[1], with_v) + "\n")
+        for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
+            chunk = table[start:start + CSV_CHUNK_ROWS].tolist()
+            fh.write("".join([line % tuple(row) for row in chunk]))
 
 
 SWEEP_HEADER = "scale,r0,endemic_norm,dfe_abscissa,endemic_abscissa"

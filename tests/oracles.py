@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: reachability
 by boolean matrix powers instead of Tarjan, the dominant eigenvalue by
 bisection on a cofactor-expansion characteristic polynomial instead of
-power iteration, Jacobians by central differences, and fixed points by an
-exhaustive grid scan polished with Newton steps.
+power iteration, Jacobians by central differences, fixed points by an
+exhaustive grid scan polished with Newton steps, and RK4 steps as plain
+array expressions instead of the preallocated in-place loop.
 """
 
 from __future__ import annotations
@@ -89,6 +90,29 @@ def finite_diff_jacobian(f, u0: np.ndarray, h: float = 1e-6) -> np.ndarray:
         dn[j] -= h
         J[:, j] = (f(up) - f(dn)) / (2.0 * h)
     return J
+
+
+def rk4_plain(model, y: np.ndarray, z: np.ndarray, dt: float, n_steps: int):
+    """Classical RK4 on the reduced (y, z) field, one fresh array per
+    operation; returns the (n_steps + 1, n) rows of y and of z."""
+    W, gamma, delta = model.W, model.gamma, model.delta
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    def f(y, z):
+        return (1.0 - y - z) * (W @ y) - gamma * y, gamma * y - delta * z
+
+    ys, zs = [y], [z]
+    for _ in range(n_steps):
+        k1y, k1z = f(y, z)
+        k2y, k2z = f(y + half * k1y, z + half * k1z)
+        k3y, k3z = f(y + half * k2y, z + half * k2z)
+        k4y, k4z = f(y + dt * k3y, z + dt * k3z)
+        y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+        ys.append(y)
+        zs.append(z)
+    return np.array(ys), np.array(zs)
 
 
 def batch_phi(Y: np.ndarray, M: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from netsirs import (
     EndemicEquilibrium,
     IntegratorConfig,
@@ -109,6 +110,22 @@ def test_simulate_flags_blowup():
     with pytest.raises(SimplexViolationError) as err:
         simulate(m, np.array([0.3, 0.2, 0.1]), np.zeros(3), IntegratorConfig(dt=1.0, t_end=10.0))
     assert "t =" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_simulate_matches_plain_rk4_bit_for_bit(n):
+    """The in-place loop performs the operations of the plain RK4
+    expressions in the same order, so every recorded float is equal."""
+    rng = np.random.default_rng(n)
+    m = helpers.ref5() if n == 5 else helpers.random_supercritical(rng, n, 3.0)
+    y0 = rng.uniform(0.0, 0.3, size=n)
+    z0 = rng.uniform(0.0, 0.3, size=n)
+    traj = simulate(m, y0, z0, IntegratorConfig(dt=0.02, t_end=6.0))
+    ys, zs = oracles.rk4_plain(m, y0, z0, 0.02, 300)
+    assert np.array_equal(traj.y, ys)
+    assert np.array_equal(traj.z, zs)
+    assert np.array_equal(traj.x, 1.0 - ys - zs)
+    assert np.array_equal(traj.times, np.arange(301) * 0.02)
 
 
 def test_fourth_order_error_decay(ref5):

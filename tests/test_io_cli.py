@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -50,8 +51,13 @@ def _write_ref5(path, **fields) -> str:
     return str(path)
 
 
+FIVE_NODE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_node.json")
+
 # fields that load_model must reject with ModelInputError
-_BAD_MODEL_FIELDS = ({"n": None}, {"name": 42})
+_BAD_MODEL_FIELDS = ({"n": None}, {"name": 42}, {"n": 2.7}, {"n": True})
+
+# valid JSON that is not an object
+_NON_OBJECT_JSON = ("5", "[1, 2]", "null", '"model"')
 
 
 def _counting(fn):
@@ -103,6 +109,12 @@ def test_load_model_error_cases(tmp_path):
     for fields in _BAD_MODEL_FIELDS:
         with pytest.raises(ModelInputError):
             load_model(_write_ref5(tmp_path / "fields.json", **fields))
+    for text in _NON_OBJECT_JSON:
+        bad.write_text(text)
+        with pytest.raises(ModelInputError):
+            load_model(str(bad))
+    # an integral n loads whether JSON spells it 5 or 5.0
+    assert load_model(_write_ref5(tmp_path / "float_n.json", n=5.0)).n == 5
 
 
 def test_load_initial(tmp_path):
@@ -114,6 +126,10 @@ def test_load_initial(tmp_path):
     path.write_text(json.dumps({"y0": [0.1, 0.0]}))
     with pytest.raises(ModelInputError):
         load_initial(str(path))
+    for text in _NON_OBJECT_JSON:
+        path.write_text(text)
+        with pytest.raises(ModelInputError):
+            load_initial(str(path))
 
 
 def test_sample_initial_states_on_simplex():
@@ -231,6 +247,10 @@ def test_cli_rejects_invalid_model(tmp_path):
         res = _cli("r0", "--model", _write_ref5(tmp_path / "fields.json", **fields))
         assert res.returncode == 1
         assert "error: ModelInputError" in res.stderr
+    path.write_text("5")
+    res = _cli("r0", "--model", str(path))
+    assert res.returncode == 1
+    assert "error: ModelInputError" in res.stderr
 
 
 def test_cli_solver_failure_exits_two(tmp_path):
@@ -368,6 +388,30 @@ def test_cli_simulate_rejects_nan_initial(tmp_path):
     assert not out.exists()
 
 
+def test_cli_simulate_rejects_non_object_initial(tmp_path):
+    init = tmp_path / "init.json"
+    init.write_text("5")
+    out = tmp_path / "run.csv"
+    res = _cli("simulate", "--model", FIVE_NODE, "--init", str(init), "--out", str(out))
+    assert res.returncode == 1
+    assert "error: ModelInputError" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_simulate_aborts_at_first_bad_record(tmp_path):
+    # dt = 5 is far too large for five_node. With every step recorded the
+    # run must stop at the first step, before the state overflows and
+    # numpy warns about it.
+    out = tmp_path / "run.csv"
+    res = _cli("simulate", "--model", FIVE_NODE, "--random", "1",
+               "--dt", "5", "--t-end", "500", "--out", str(out))
+    assert res.returncode == 2
+    assert "RuntimeWarning" not in res.stderr
+    assert res.stderr == ("error: SimplexViolationError: state left the simplex "
+                          "at t = 5; reduce dt\n")
+    assert not out.exists()
+
+
 def test_cli_simulate_flags_nan_between_records(tmp_path):
     # the run overflows to NaN between the first and the last recorded
     # row; the final recorded state must fail the simplex check
@@ -395,6 +439,50 @@ def test_cli_simulate_is_deterministic(tmp_path):
             (tmp_path / f"{tag}_{k:03d}.csv").read_bytes() for k in range(2)
         ))
     assert outs[0] == outs[1]
+
+
+_GOLDEN_INIT = {"y0": [0.1, 0.0, 0.2, 0.05, 0.0], "z0": [0.0, 0.1, 0.0, 0.3, 0.0]}
+
+# sha256 of every CSV `netsirs simulate` writes on five_node, recorded
+# from the code before the RK4 loop and the CSV writer were rewritten for
+# speed. "ragged" takes 101 steps, which --record-every 3 does not divide,
+# so its last row is the final step recorded on its own; "init" has 2,501
+# rows, more than two write chunks.
+_SIMULATE_GOLDEN = {
+    "random": (
+        ["--random", "2", "--seed", "9", "--t-end", "2", "--record-every", "20"],
+        ["7a5c80b099e90edbfcc6be5a03647f9ae3801a9cbfca13617cd4fa1f3024214f",
+         "e5cf2988aa723d4becd78384d0ce86fdb0f16121eef7043021be3756363a68c2"],
+    ),
+    "lyapunov": (
+        ["--random", "1", "--seed", "4", "--t-end", "3", "--record-every", "7", "--lyapunov"],
+        ["8189549f76fe7ae92adf5db4289c8a29e71db38805c508bd74f50e974f9b2a33"],
+    ),
+    "ragged": (
+        ["--random", "1", "--seed", "5", "--t-end", "1.01", "--record-every", "3"],
+        ["abe0f2867d90d8fb06ded74ebb886003cd157d5cd9793a44223892a1cf251f69"],
+    ),
+    "init": (
+        ["--init", "{init}", "--t-end", "25", "--record-every", "1"],
+        ["c91f23d2173899911f0bbecbf627a6f77352d247b6a261902a90d05705910633"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATE_GOLDEN))
+def test_cli_simulate_csv_bytes_are_pinned(tmp_path, capsys, name):
+    argv, digests = _SIMULATE_GOLDEN[name]
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(_GOLDEN_INIT))
+    argv = [arg.format(init=init) for arg in argv]
+    out = tmp_path / f"{name}.csv"
+    assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, *argv, "--out", str(out)]) == 0
+    paths = [out] if len(digests) == 1 else [
+        tmp_path / f"{name}_{k:03d}.csv" for k in range(len(digests))
+    ]
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests
+    if name == "ragged":
+        assert out.read_text().splitlines()[-1].startswith("1.01,")
 
 
 def test_cli_stability_report(tmp_path):
