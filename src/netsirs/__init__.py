@@ -3,8 +3,9 @@
 Validated model construction, reproduction number via the dominant
 eigenpair, endemic equilibria through a monotone fixed-point iteration
 with two-sided bracketing, fixed-step RK4 trajectory simulation, and
-stability certificates combining dense spectra with Gershgorin disks of
-a Schur complement.
+stability certificates: a certified Perron bracket for the infection-free
+state, dense spectra with Gershgorin disks of a Schur complement for the
+endemic one.
 """
 
 from .errors import (
@@ -70,10 +71,12 @@ from .stability import (
     INCONCLUSIVE,
     STABLE,
     UNSTABLE,
+    DfeAbscissa,
     GershgorinSample,
     LyapunovTrace,
     StabilityCertificate,
     default_lambda_samples,
+    dfe_abscissa,
     endemic_certificate,
     eta_bound,
     gershgorin_certificate,

@@ -24,8 +24,8 @@ from .io import (
     write_trajectory_csv,
 )
 from .spectral import reproduction_number
-from .stability import endemic_certificate, jacobian_dfe, spectral_abscissa
-from .stability import INCONCLUSIVE, STABLE, UNSTABLE
+from .stability import dfe_abscissa, endemic_certificate
+from .stability import jacobian_dfe, spectral_abscissa  # noqa: F401  (perfbench/spans.py wraps these names)
 from .sweep import run_sweep
 
 
@@ -106,18 +106,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_stability(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     r0, spectral = reproduction_number(model)
-    dfe_abscissa = spectral_abscissa(jacobian_dfe(model))
-    if dfe_abscissa < 0.0:
-        dfe_verdict = STABLE
-    elif dfe_abscissa > 0.0:
-        dfe_verdict = UNSTABLE
-    else:
-        dfe_verdict = INCONCLUSIVE
+    dfe = dfe_abscissa(model)
     report = {
         "r0": r0,
         "spectral": {"lambda": spectral.lam, "iterations": spectral.iterations,
                      "residual": spectral.residual},
-        "dfe": {"abscissa": dfe_abscissa, "verdict": dfe_verdict},
+        "dfe": {"abscissa": dfe.abscissa, "verdict": dfe.verdict},
         "endemic": None,
     }
     solved = solve_endemic(model, tol=args.tol, spectral=spectral)

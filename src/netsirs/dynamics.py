@@ -8,9 +8,10 @@ The reduced vector field on (y, z) is
 with x = 1 - y - z recovered per population. Integration is classical
 fixed-step fourth-order Runge-Kutta with no projection back onto the
 simplex: staying inside it is a property of the dynamics that the tests
-check, not something the integrator enforces. Recorded states that drift
-beyond SIMPLEX_VIOLATION_TOL abort the run, which in practice flags a
-step size too large for the stiffest rate in the model.
+check, not something the integrator enforces. A state that drifts beyond
+SIMPLEX_VIOLATION_TOL after any step, recorded or not, aborts the run,
+which in practice flags a step size too large for the stiffest rate in
+the model.
 """
 
 from __future__ import annotations
@@ -102,10 +103,12 @@ def simulate(
     allocated once before the loop, and the recorded rows go into output
     arrays sized up front, so no step allocates an array. Raises
     InvalidInitialError when (1 - y0 - z0, y0, z0) is not a valid state
-    and SimplexViolationError as soon as a recorded state leaves the
-    simplex by more than SIMPLEX_VIOLATION_TOL; each row is checked as it
-    is recorded, so the run stops at the first bad record, whose time is
-    named in the message. Both checks are written so that NaN fails them.
+    and SimplexViolationError as soon as the state leaves the simplex by
+    more than SIMPLEX_VIOLATION_TOL. Every step is checked, a recorded one
+    as its row is written and an unrecorded one into a scratch row, so the
+    run stops at the first bad step, whose time is named in the message,
+    before the state can overflow. Both checks are written so that NaN
+    fails them.
     For lyapunov_trace runs a precomputed SpectralResult for model.M can
     be passed to skip the eigensolve.
     """
@@ -155,6 +158,7 @@ def simulate(
     times = np.empty(m)
     states = np.empty((m, 2 * n))
     x = np.empty((m, n))
+    x_spare = np.empty(n)
     values = np.empty(m) if weights is not None else None
 
     def f(v: tuple, k: tuple) -> None:
@@ -168,14 +172,17 @@ def simulate(
         sub(s, outflow_y, k[1])
         sub(outflow_y, outflow_z, k[2])
 
-    def record(row: int, t: float) -> None:
-        times[row] = t
-        states[row] = u
-        x_row = x[row]
+    def check(t: float, x_row: np.ndarray) -> None:
+        # x_row = (1 - y) - z at u, then every fraction must be >= -tol
         sub(1.0, uy, x_row)
         sub(x_row, uz, x_row)
         if not (lowest(u) >= -SIMPLEX_VIOLATION_TOL and lowest(x_row) >= -SIMPLEX_VIOLATION_TOL):
             raise SimplexViolationError(f"state left the simplex at t = {t:.6g}; reduce dt")
+
+    def record(row: int, t: float) -> None:
+        times[row] = t
+        states[row] = u
+        check(t, x[row])
         if values is not None:
             values[row] = float(weights @ uy)
 
@@ -199,6 +206,8 @@ def simulate(
         if step % every == 0 or step == n_steps:
             record(row, step * dt)
             row += 1
+        else:
+            check(step * dt, x_spare)
 
     return Trajectory(
         times=times,

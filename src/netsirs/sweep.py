@@ -10,7 +10,8 @@ from .equilibrium import EndemicEquilibrium, solve_endemic
 from .errors import NetsirsError
 from .model import ModelInstance, validate_model
 from .spectral import reproduction_number
-from .stability import jacobian_dfe, jacobian_endemic, spectral_abscissa
+from .stability import dfe_abscissa, jacobian_endemic, spectral_abscissa
+from .stability import jacobian_dfe  # noqa: F401  (perfbench/spans.py wraps this name)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,9 @@ def run_sweep(
     and were recorded as NaN. The Perron pair of the model is solved once:
     rho(sM) = s rho(M) and the eigenvectors do not move, so every row
     reuses it scaled by s. An error of that one solve is not a row
-    failure and propagates to the caller.
+    failure and propagates to the caller. The DFE abscissa comes from
+    dfe_abscissa, with no eigensolve; only the endemic abscissa of a
+    supercritical row takes a dense one.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -50,7 +53,7 @@ def run_sweep(
         try:
             scaled = validate_model(scale * model.W, model.gamma, model.delta)
             spectral = replace(base, lam=scale * base.lam, residual=scale * base.residual)
-            dfe = spectral_abscissa(jacobian_dfe(scaled))
+            dfe = dfe_abscissa(scaled).abscissa
             solved = solve_endemic(scaled, tol=tol, spectral=spectral)
             if isinstance(solved, EndemicEquilibrium):
                 norm = float(np.max(np.abs(solved.y_star)))

@@ -12,6 +12,7 @@ import pytest
 import helpers
 import netsirs.cli
 import netsirs.equilibrium
+import netsirs.stability
 import netsirs.sweep
 from netsirs import (
     DimensionMismatchError,
@@ -186,11 +187,9 @@ def test_sweep_rows_match_closed_form(tmp_path):
     assert lines[1].endswith(",nan")
 
 
-def test_sweep_thread_cap_is_deterministic(monkeypatch):
+def test_sweep_is_deterministic():
     m = helpers.out_regular(n=3, row_sum=2.0)
-    monkeypatch.setenv("NETSIRS_THREADS", "1")
     rows1, _ = run_sweep(m, 0.5, 2.0, 8)
-    monkeypatch.setenv("NETSIRS_THREADS", "4")
     rows4, _ = run_sweep(m, 0.5, 2.0, 8)
     for a, b in zip(rows1, rows4):
         fields = [(a.scale, b.scale), (a.r0, b.r0), (a.endemic_norm, b.endemic_norm),
@@ -223,6 +222,64 @@ def test_sweep_solves_perron_pair_once(monkeypatch):
         expected = (r0, norm, spectral_abscissa(jacobian_dfe(ref)), endemic)
         assert fields == pytest.approx(expected, rel=1e-12, abs=0.0, nan_ok=True)
     assert any(row.endemic_norm == 0.0 for row in rows)
+
+
+# sha256 of `netsirs sweep` CSVs on five_node, recorded from the code that
+# took the DFE abscissa from a dense eigensolve of the 2n x 2n Jacobian
+_SWEEP_GOLDEN = {
+    "supercritical": (["0.05", "1.5", "30"], "30 rows, 0 warnings",
+                      "657f421a2e5319af92f4b723059e802b2d8e034679dffa303691718e09461fc0"),
+    "with_failures": (["-0.5", "2.0", "41"], "41 rows, 9 warnings",
+                      "b88596652ca6df7962d5926656ebd974f1e90d024f611a994d010ea87b31c03c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_GOLDEN))
+def test_cli_sweep_csv_bytes_are_pinned(tmp_path, capsys, name):
+    (lo, hi, steps), summary, digest = _SWEEP_GOLDEN[name]
+    out = tmp_path / f"{name}.csv"
+    assert netsirs.cli.main(["sweep", "--model", FIVE_NODE, "--scale-min", lo, "--scale-max", hi,
+                             "--steps", steps, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} ({summary})\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sweep_takes_one_dense_eigensolve_per_supercritical_row(monkeypatch):
+    # the DFE abscissa comes from the Perron bracket; only the endemic
+    # Jacobian of a supercritical row goes through a dense eigensolve
+    counted = _counting(spectral_abscissa)
+    eigvals = _counting(np.linalg.eigvals)
+    monkeypatch.setattr(netsirs.sweep, "spectral_abscissa", counted)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    rows, failures = run_sweep(helpers.ref5(), -0.25, 1.0, 21)
+    supercritical = sum(row.endemic_norm > 0.0 for row in rows)
+    assert failures == 5
+    assert 0 < supercritical < len(rows) - failures
+    assert counted.calls == eigvals.calls == supercritical
+
+
+@pytest.mark.parametrize("row_sum, calls", [(0.8, 0), (2.0, 1)])
+def test_cli_stability_takes_one_dense_eigensolve_per_endemic_model(
+        tmp_path, monkeypatch, capsys, row_sum, calls):
+    path = tmp_path / "model.json"
+    save_model(helpers.out_regular(n=3, row_sum=row_sum), str(path))
+    counted = _counting(spectral_abscissa)
+    eigvals = _counting(np.linalg.eigvals)
+    monkeypatch.setattr(netsirs.stability, "spectral_abscissa", counted)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    assert netsirs.cli.main(["stability", "--model", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["endemic"] is not None) == (calls == 1)
+    assert counted.calls == eigvals.calls == calls
+
+
+def test_cli_stability_threshold_dfe_is_inconclusive(tmp_path, capsys):
+    # R0 = 1 exactly: the DFE bracket closes at [0, 0], which touches 0
+    path = tmp_path / "threshold.json"
+    save_model(helpers.out_regular(n=2, row_sum=1.0), str(path))
+    assert netsirs.cli.main(["stability", "--model", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dfe"] == {"abscissa": 0.0, "verdict": "Inconclusive"}
 
 
 def test_cli_r0_output(tmp_path):
@@ -413,8 +470,9 @@ def test_cli_simulate_aborts_at_first_bad_record(tmp_path):
 
 
 def test_cli_simulate_flags_nan_between_records(tmp_path):
-    # the run overflows to NaN between the first and the last recorded
-    # row; the final recorded state must fail the simplex check
+    # the state leaves the simplex at t = 2, far from any recorded row;
+    # the unrecorded step must fail the simplex check there, before the
+    # run goes on to overflow and numpy warns about it
     model_path = _write_ref5(tmp_path / "ref5.json")
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"y0": [0.1, 0.0, 0.2, 0.0, 0.0], "z0": [0.0] * 5}))
@@ -423,8 +481,15 @@ def test_cli_simulate_flags_nan_between_records(tmp_path):
                "--dt", "1.0", "--t-end", "400", "--record-every", "1000000000",
                "--out", str(out))
     assert res.returncode == 2
-    assert "error: SimplexViolationError" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert res.stderr == ("error: SimplexViolationError: state left the simplex "
+                          "at t = 2; reduce dt\n")
     assert not out.exists()
+    # with every step recorded the run stops at the same step
+    res = _cli("simulate", "--model", model_path, "--init", str(init),
+               "--dt", "1.0", "--t-end", "400", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.endswith("at t = 2; reduce dt\n")
 
 
 def test_cli_simulate_is_deterministic(tmp_path):
@@ -517,8 +582,7 @@ def test_cli_sweep(tmp_path):
     save_model(m, str(path))
     out = tmp_path / "sweep.csv"
     res = _cli("sweep", "--model", str(path), "--scale-min", "0.25",
-               "--scale-max", "1.5", "--steps", "6", "--out", str(out),
-               env={"NETSIRS_THREADS": "2"})
+               "--scale-max", "1.5", "--steps", "6", "--out", str(out))
     assert res.returncode == 0
     assert f"wrote {out} (6 rows, 0 warnings)" in res.stdout
     lines = out.read_text().splitlines()

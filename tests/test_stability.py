@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import helpers
+import netsirs.stability
 import oracles
 from netsirs import (
+    INCONCLUSIVE,
+    DfeAbscissa,
     FullState,
     IntegratorConfig,
     InvalidAtBoundaryError,
+    NoConvergenceError,
     NonPositiveEquilibriumError,
     NotEquilibriumError,
     ReducedState,
@@ -16,6 +21,7 @@ from netsirs import (
     STABLE,
     UNSTABLE,
     default_lambda_samples,
+    dfe_abscissa,
     dominant_eigen,
     endemic_certificate,
     eta_bound,
@@ -219,6 +225,101 @@ def test_infection_free_stability_tracks_threshold():
 def test_supercritical_dfe_unstable_heterogeneous(rng):
     m = helpers.random_supercritical(rng, 4, r0_target=3.0)
     assert spectral_abscissa(jacobian_dfe(m)) > 0.0
+
+
+def _check_dfe_route(m) -> DfeAbscissa:
+    """dfe_abscissa against the dense 2n x 2n route and scipy on W - [gamma].
+
+    Both references are dense eigensolves with absolute error of order
+    eps * ||J||, so near R0 = 1, where the root is small, agreement is to
+    1e-12 relative or 1e-14 absolute, and the bracket contains each
+    reference up to 1e-14 of the rate scale (the ratios are rounded too).
+    """
+    res = dfe_abscissa(m)
+    floor = -float(m.delta.min())
+    dense = spectral_abscissa(jacobian_dfe(m))
+    metzler = float(scipy.linalg.eigvals(m.W - np.diag(m.gamma)).real.max())
+    slack = 1e-14 * max(abs(dense), float(m.gamma.max()))
+    for ref in (dense, max(metzler, floor)):
+        assert res.abscissa == pytest.approx(ref, rel=1e-12, abs=1e-14)
+        assert res.lower - slack <= ref <= res.upper + slack
+    assert res.lower <= res.abscissa <= res.upper
+    if metzler < floor - slack:
+        assert res.abscissa == floor
+    expected = STABLE if dense < -slack else UNSTABLE if dense > slack else None
+    if expected is not None:
+        assert res.verdict == expected
+    return res
+
+
+def test_dfe_abscissa_single_node():
+    res = _check_dfe_route(validate_model([[2.0]], [1.0], [1.0]))
+    assert (res.abscissa, res.lower, res.upper, res.iterations) == (1.0, 1.0, 1.0, 0)
+    assert res.verdict == UNSTABLE
+    # s(W - gamma) = -0.5 lies left of -delta = -0.25: the floor is exact
+    res = _check_dfe_route(validate_model([[0.5]], [1.0], [0.25]))
+    assert res.abscissa == -0.25
+    assert res.verdict == STABLE
+
+
+def test_dfe_abscissa_periodic_two_cycle():
+    # support 1 -> 2 -> 1 only: W - [gamma] has eigenvalues -1 +- sqrt(6)
+    m = validate_model([[0.0, 2.0], [3.0, 0.0]], [1.0, 1.0], [0.5, 0.5])
+    res = _check_dfe_route(m)
+    assert res.abscissa == pytest.approx(np.sqrt(6.0) - 1.0, rel=1e-14)
+    assert res.verdict == UNSTABLE
+
+
+@pytest.mark.parametrize("row_sum, delta, expected", [
+    (0.8, 1.0, -0.2),   # s(W - I) = row_sum - 1 above -delta
+    (0.8, 0.1, -0.1),   # ... and below it: the floor, exactly
+    (2.0, 1.0, 1.0),
+])
+def test_dfe_abscissa_out_regular(row_sum, delta, expected):
+    m = helpers.out_regular(n=3, row_sum=row_sum, delta=delta)
+    res = _check_dfe_route(m)
+    assert res.abscissa == pytest.approx(expected, rel=1e-14)
+    if expected == -0.1:
+        assert res.abscissa == -0.1
+        assert (res.lower, res.upper, res.iterations) == (-0.1, -0.1, 0)
+    assert res.verdict == (STABLE if expected < 0.0 else UNSTABLE)
+
+
+@pytest.mark.parametrize("n", [3, 40, 200])
+def test_dfe_abscissa_random_models(n):
+    rng = np.random.default_rng(n)
+    for r0 in (0.3, 0.999, 1.001, 3.0):
+        m = helpers.random_supercritical(rng, n, r0_target=r0)
+        res = _check_dfe_route(m)
+        assert res.verdict == (STABLE if r0 < 1.0 else UNSTABLE)
+        assert res.iterations <= 12
+
+
+def test_dfe_abscissa_at_threshold_is_inconclusive(monkeypatch):
+    # R0 = 1 exactly: the ratios at x = 1 are exactly 0, the bracket
+    # closes at [0, 0] with no solve, and it touches 0
+    m = helpers.out_regular(n=2, row_sum=1.0)
+    res = _check_dfe_route(m)
+    assert (res.abscissa, res.lower, res.upper, res.iterations) == (0.0, 0.0, 0.0, 0)
+    assert res.verdict == INCONCLUSIVE
+    # a bracket that straddles 0 is Inconclusive too: a tolerance of 1
+    # stops at the bracket of x = 1, whose row ratios lie on both sides of
+    # 0 for this near-threshold model
+    m = helpers.random_supercritical(np.random.default_rng(3), 40, r0_target=1.001)
+    monkeypatch.setattr(netsirs.stability, "DFE_TOL", 1.0)
+    res = dfe_abscissa(m)
+    assert res.iterations == 0
+    assert res.lower < 0.0 < res.upper
+    assert res.verdict == INCONCLUSIVE
+    assert res.lower <= spectral_abscissa(jacobian_dfe(m)) <= res.upper
+
+
+def test_dfe_abscissa_fails_loudly_when_bracket_stays_open(monkeypatch):
+    m = helpers.random_supercritical(np.random.default_rng(3), 40, r0_target=1.001)
+    monkeypatch.setattr(netsirs.stability, "DFE_TOL", 0.0)
+    monkeypatch.setattr(netsirs.stability, "DFE_MAX_SOLVES", 3)
+    with pytest.raises(NoConvergenceError):
+        dfe_abscissa(m)
 
 
 def test_lyapunov_nonincreasing_subcritical(rng):
