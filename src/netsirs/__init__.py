@@ -22,7 +22,6 @@ from .errors import (
     NonPositiveRateError,
     NonPositiveVectorError,
     NotEquilibriumError,
-    NotIrreducibleError,
     NumericalError,
     OutOfCapError,
     OutOfSimplexError,
@@ -37,7 +36,6 @@ from .model import (
     ReducedState,
     check_irreducible,
     full_from_reduced,
-    strongly_connected_components,
     validate_model,
 )
 from .spectral import (
@@ -73,7 +71,6 @@ from .stability import (
     UNSTABLE,
     DfeAbscissa,
     GershgorinSample,
-    LyapunovTrace,
     StabilityCertificate,
     default_lambda_samples,
     dfe_abscissa,
@@ -83,7 +80,6 @@ from .stability import (
     jacobian_dfe,
     jacobian_endemic,
     lyapunov_derivative,
-    lyapunov_point,
     lyapunov_value,
     rank_one_lyapunov,
     schur_matrix,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -85,6 +86,8 @@ def _suffixed(path: str, index: int) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
+    if args.random < 0:
+        raise ModelInputError(f"--random must be at least 0, got {args.random}")
     if (args.init is None) == (args.random == 0):
         raise ModelInputError("pass exactly one of --init PATH or --random K")
     if args.init is not None:
@@ -203,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0.0 < args.tol < math.inf:
+            raise ModelInputError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except ModelInputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,8 @@ SIMPLEX_VIOLATION_TOL = 1e-6
 class IntegratorConfig:
     """Fixed-step RK4 settings.
 
-    dt must be positive, t_end at least one step long, record_every >= 1.
+    dt must be positive, t_end at least one step long, both finite with a
+    finite step count t_end / dt, and record_every >= 1.
     When lyapunov_trace is set the value v_left' [gamma]^-1 y is recorded
     alongside every state (v_left is the positive left eigenvector of M,
     unit 1-norm), which is nonincreasing along trajectories of subcritical
@@ -44,10 +46,12 @@ class IntegratorConfig:
     lyapunov_trace: bool = False
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must cover at least one step")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.dt <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and cover at least one step")
+        if not self.t_end / self.dt < math.inf:
+            raise ValueError("t_end / dt must be a finite number of steps")
         if int(self.record_every) < 1:
             raise ValueError("record_every must be a positive integer")
 

@@ -31,6 +31,10 @@ from .spectral import SpectralResult, reproduction_number
 # as threshold cases and reported as having no endemic equilibrium
 R0_TOL = 1e-9
 
+# most applications of Phi that iterate_phi, and each bracket sequence of
+# solve_endemic, may take
+PHI_MAX_ITER = 1_000_000
+
 
 @dataclass(frozen=True)
 class PhiIterationLog:
@@ -91,17 +95,16 @@ def iterate_phi(
     M: np.ndarray,
     alpha: np.ndarray,
     tol: float = 1e-12,
-    max_iter: int = 1_000_000,
 ) -> tuple[np.ndarray, PhiIterationLog]:
     """Iterate Phi from xi0 until the step size drops to tol.
 
     Returns the final iterate and the full iterate log. Raises
-    NoConvergenceError when max_iter applications of the map still leave
+    NoConvergenceError when PHI_MAX_ITER applications of the map still leave
     steps above tol.
     """
     xi = np.array(xi0, dtype=float)
     iterates = [xi.copy()]
-    for _ in range(max_iter):
+    for _ in range(PHI_MAX_ITER):
         nxt = phi(xi, M, alpha)
         gap = float(np.max(np.abs(nxt - xi)))
         iterates.append(nxt)
@@ -109,7 +112,7 @@ def iterate_phi(
         if gap <= tol:
             return xi, PhiIterationLog(iterates=iterates, converged=True, final_gap=gap)
     raise NoConvergenceError(
-        f"fixed-point iteration still moved more than {tol} after {max_iter} steps"
+        f"fixed-point iteration still moved more than {tol} after {PHI_MAX_ITER} steps"
     )
 
 
@@ -134,7 +137,6 @@ def lower_bracket_start(model: ModelInstance, v_right: np.ndarray) -> np.ndarray
 def solve_endemic(
     model: ModelInstance,
     tol: float = 1e-12,
-    max_iter: int = 1_000_000,
     spectral: SpectralResult | None = None,
 ) -> EndemicEquilibrium | NoEndemic:
     """Locate the unique positive fixed point of Phi by two-sided bracketing.
@@ -161,9 +163,9 @@ def solve_endemic(
     gap = float(np.max(np.abs(upper - lower)))
     iterations = 0
     while gap > tol:
-        if iterations >= max_iter:
+        if iterations >= PHI_MAX_ITER:
             raise NoConvergenceError(
-                f"equilibrium bracket still {gap:.3e} wide after {max_iter} iterations"
+                f"equilibrium bracket still {gap:.3e} wide after {PHI_MAX_ITER} iterations"
             )
         upper = phi(upper, model.M, model.alpha)
         lower = phi(lower, model.M, model.alpha)

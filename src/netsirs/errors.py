@@ -51,10 +51,6 @@ class NonPositiveVectorError(ModelInputError):
     """A strictly positive vector was required."""
 
 
-class NotIrreducibleError(ModelInputError):
-    """A spectral routine needs an irreducible nonnegative matrix."""
-
-
 class OutOfCapError(ModelInputError):
     """An infection profile exceeds its componentwise cap 1/(1+alpha)."""
 

@@ -86,27 +86,22 @@ def sample_initial_states(
     n: int,
     count: int,
     rng: np.random.Generator,
-    require_infected: bool = True,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Draw initial conditions uniformly from the per-population simplex.
 
     Each population gets two sorted uniforms (u1, u2), giving the spacings
-    (x, y, z) = (u1, u2 - u1, 1 - u2). With require_infected a draw whose
-    infected fractions are all exactly zero is rejected and redrawn.
+    (x, y, z) = (u1, u2 - u1, 1 - u2). A draw whose infected fractions
+    are all exactly zero is rejected and redrawn.
     """
     out: list[tuple[np.ndarray, np.ndarray]] = []
     while len(out) < count:
         u = np.sort(rng.random((n, 2)), axis=1)
         y0 = u[:, 1] - u[:, 0]
         z0 = 1.0 - u[:, 1]
-        if require_infected and not np.any(y0 > 0.0):
+        if not np.any(y0 > 0.0):
             continue
         out.append((y0, z0))
     return out
-
-
-def _num(value: float) -> str:
-    return format(float(value), ".12g")
 
 
 def trajectory_header(n: int, lyapunov: bool) -> str:
@@ -148,14 +143,10 @@ SWEEP_HEADER = "scale,r0,endemic_norm,dfe_abscissa,endemic_abscissa"
 
 
 def write_sweep_csv(rows, path: str) -> None:
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _num(v)
-                for v in (row.scale, row.r0, row.endemic_norm,
-                          row.dfe_abscissa, row.endemic_abscissa)
-            )
-        )
+    """Write one row per sweep point, every number as "%.12g"."""
+    line = ",".join(["%.12g"] * 5) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(SWEEP_HEADER + "\n")
+        fh.write("".join([line % (row.scale, row.r0, row.endemic_norm,
+                                  row.dfe_abscissa, row.endemic_abscissa)
+                          for row in rows]))

@@ -85,74 +85,35 @@ class FullState:
     z: np.ndarray
 
 
-def strongly_connected_components(support: np.ndarray) -> list[list[int]]:
-    """Decompose a boolean adjacency matrix into strongly connected components.
-
-    Iterative Tarjan; support[i, j] truthy means there is an edge i -> j.
-    Returns the components as lists of vertex indices.
-    """
-    support = np.asarray(support)
-    n = support.shape[0]
-    adj = [np.flatnonzero(support[i]).tolist() for i in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, start = work[-1]
-            if start == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(start, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return components
+def _reached_from_first(support: np.ndarray) -> np.ndarray:
+    """Nodes that node 0 reaches in the digraph with an edge i -> j wherever
+    support[i, j], found one breadth-first level at a time."""
+    seen = np.arange(support.shape[0]) == 0
+    frontier = seen
+    while frontier.any():
+        frontier = support[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return seen
 
 
 def check_irreducible(W: np.ndarray) -> bool:
     """True iff the support digraph of W is strongly connected.
 
+    A digraph is strongly connected exactly when node 0 reaches every node
+    both in it and in its reverse, so two breadth-first sweeps decide it.
     A 1x1 matrix is a single trivial component, so this returns True even
     for a zero entry. validate_model applies the stricter single-population
     rule that W[0, 0] > 0 is required, because a lone population with no
-    self-exposure has no infection channel at all.
+    self-exposure has no infection channel at all. An empty matrix has no
+    component and gives False.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {W.shape}")
-    if W.shape[0] == 1:
-        return True
-    return len(strongly_connected_components(W > 0.0)) == 1
+    support = W > 0.0
+    return W.shape[0] > 0 and bool(
+        _reached_from_first(support).all() and _reached_from_first(support.T).all()
+    )
 
 
 def validate_model(

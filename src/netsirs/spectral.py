@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonPositiveVectorError, NotIrreducibleError
+from .errors import NoConvergenceError, NonPositiveVectorError, ReducibleError
 from .model import ModelInstance, check_irreducible
+
+# most power sweeps one side of the Perron pair may take
+MAX_SWEEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -47,30 +50,30 @@ def collatz_wielandt_bounds(M: np.ndarray, x: np.ndarray) -> tuple[float, float]
     return float(ratios.min()), float(ratios.max())
 
 
-def _power_sweeps(A: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+def _power_sweeps(A: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     # A has positive diagonal, so positivity of the iterate is preserved
     n = A.shape[0]
     x = np.full(n, 1.0 / n)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         w = A @ x
         ratios = w / x
         if float(ratios.max() - ratios.min()) <= tol:
             return x, it
         x = w / w.sum()
     raise NoConvergenceError(
-        f"power iteration did not close the eigenvalue bracket to {tol} in {max_iter} sweeps"
+        f"power iteration did not close the eigenvalue bracket to {tol} in {MAX_SWEEPS} sweeps"
     )
 
 
-def _perron(M: np.ndarray, tol: float, max_iter: int) -> SpectralResult:
+def _perron(M: np.ndarray, tol: float) -> SpectralResult:
     n = M.shape[0]
     if n == 1:
         one = np.ones(1)
         return SpectralResult(lam=float(M[0, 0]), v_right=one, v_left=one.copy(),
                               iterations=0, residual=0.0)
     A = M + np.eye(n)
-    v_right, it_r = _power_sweeps(A, tol, max_iter)
-    v_left, it_l = _power_sweeps(A.T, tol, max_iter)
+    v_right, it_r = _power_sweeps(A, tol)
+    v_left, it_l = _power_sweeps(A.T, tol)
     v_right = v_right / v_right.sum()
     v_left = v_left / v_left.sum()
     lam = float(v_left @ (M @ v_right) / (v_left @ v_right))
@@ -79,7 +82,7 @@ def _perron(M: np.ndarray, tol: float, max_iter: int) -> SpectralResult:
                           iterations=max(it_r, it_l), residual=residual)
 
 
-def dominant_eigen(M: np.ndarray, tol: float = 1e-10, max_iter: int = 100000) -> SpectralResult:
+def dominant_eigen(M: np.ndarray, tol: float = 1e-10) -> SpectralResult:
     """Dominant eigenvalue and positive eigenvectors of an irreducible M >= 0.
 
     Power iteration runs on M + I. The shift makes the iteration matrix
@@ -88,21 +91,20 @@ def dominant_eigen(M: np.ndarray, tol: float = 1e-10, max_iter: int = 100000) ->
     every eigenvalue by one. Sweeps stop once the bracket
     max_i (Ax)_i/x_i - min_i (Ax)_i/x_i closes to tol; the eigenvalue is
     then reported as the ratio v_left' M v_right / v_left' v_right, which
-    the bracket pins to the same accuracy. Raises NotIrreducibleError
-    when the support of M is not strongly connected.
+    the bracket pins to the same accuracy. Raises ReducibleError when
+    the support of M is not strongly connected.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape[0] > 1 and not check_irreducible(M):
-        raise NotIrreducibleError("dominant eigenpair needs an irreducible matrix")
-    return _perron(M, tol, max_iter)
+    if not check_irreducible(M):
+        raise ReducibleError("dominant eigenpair needs an irreducible matrix")
+    return _perron(M, tol)
 
 
-def reproduction_number(model: ModelInstance, tol: float = 1e-10,
-                        max_iter: int = 100000) -> tuple[float, SpectralResult]:
+def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float, SpectralResult]:
     """Reproduction number R0 = rho(M) together with the full eigenpair.
 
     A ModelInstance comes only from validate_model, which has already
     proved the support strongly connected, so the check is not repeated.
     """
-    res = _perron(model.M, tol, max_iter)
+    res = _perron(model.M, tol)
     return res.lam, res

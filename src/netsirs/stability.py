@@ -67,16 +67,6 @@ class StabilityCertificate:
     verdict: str
 
 
-@dataclass(frozen=True)
-class LyapunovTrace:
-    """Lyapunov value and analytic derivative at one state, with an
-    optional numeric derivative for cross-checking."""
-
-    value: float
-    derivative: float
-    finite_diff: float | None = None
-
-
 def jacobian_dfe(model: ModelInstance) -> np.ndarray:
     """Reduced Jacobian at the infection-free state, blockwise
     [[W - [gamma], 0], [[gamma], -[delta]]]. Kept for tests and oracles;
@@ -228,7 +218,11 @@ def schur_matrix(model: ModelInstance, y_star: np.ndarray, lam: complex) -> np.n
     return S
 
 
-def default_lambda_samples(eta: float, seed: int = 0, random_count: int = 20) -> list[complex]:
+# random shifts default_lambda_samples draws beside its fixed ones
+LAMBDA_RANDOM_SAMPLES = 20
+
+
+def default_lambda_samples(eta: float, seed: int = 0) -> list[complex]:
     """Shift samples covering the half-plane Re(lam) > -eta.
 
     The fixed part probes the boundary (-eta + 1e-6), the origin, and
@@ -240,8 +234,8 @@ def default_lambda_samples(eta: float, seed: int = 0, random_count: int = 20) ->
         mag = 10.0 ** k
         samples += [complex(0.0, mag), complex(0.0, -mag), complex(mag)]
     rng = np.random.default_rng(seed)
-    re = rng.uniform(-eta + 1e-6, 10.0, random_count)
-    im = rng.uniform(-10.0, 10.0, random_count)
+    re = rng.uniform(-eta + 1e-6, 10.0, LAMBDA_RANDOM_SAMPLES)
+    im = rng.uniform(-10.0, 10.0, LAMBDA_RANDOM_SAMPLES)
     samples += [complex(a, b) for a, b in zip(re, im)]
     return samples
 
@@ -362,23 +356,6 @@ def lyapunov_derivative(
     drive = (spectral.lam - 1.0) * float(spectral.v_left @ y)
     damping = float((spectral.v_left / model.gamma) @ ((y + z) * (model.W @ y)))
     return drive - damping
-
-
-def lyapunov_point(
-    model: ModelInstance,
-    y: np.ndarray,
-    z: np.ndarray,
-    spectral: SpectralResult | None = None,
-    finite_diff: float | None = None,
-) -> LyapunovTrace:
-    """Bundle value and derivative at one state."""
-    if spectral is None:
-        spectral = reproduction_number(model)[1]
-    return LyapunovTrace(
-        value=lyapunov_value(model, y, spectral=spectral),
-        derivative=lyapunov_derivative(model, y, z, spectral=spectral),
-        finite_diff=finite_diff,
-    )
 
 
 def rank_one_lyapunov(

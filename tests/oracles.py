@@ -1,9 +1,9 @@
 """Independent reference computations used to cross-check the package.
 
 Everything here deliberately avoids the code paths under test: reachability
-by boolean matrix powers instead of Tarjan, the dominant eigenvalue by
-bisection on a cofactor-expansion characteristic polynomial instead of
-power iteration, Jacobians by central differences, fixed points by an
+by boolean matrix powers instead of breadth-first sweeps, the dominant
+eigenvalue by bisection on a cofactor-expansion characteristic polynomial
+instead of power iteration, Jacobians by central differences, fixed points by an
 exhaustive grid scan polished with Newton steps, and RK4 steps as plain
 array expressions instead of the preallocated in-place loop.
 """

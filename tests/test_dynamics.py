@@ -56,6 +56,13 @@ def test_config_rejects_bad_settings():
         IntegratorConfig(record_every=0)
 
 
+@pytest.mark.parametrize("dt, t_end", [(0.01, np.inf), (np.inf, np.inf), (np.nan, 1.0),
+                                       (0.01, np.nan), (1e-300, 1e300)])
+def test_config_rejects_non_finite_step_count(dt, t_end):
+    with pytest.raises(ValueError):
+        IntegratorConfig(dt=dt, t_end=t_end)
+
+
 def test_simulate_rejects_bad_initials(out_regular3):
     with pytest.raises(InvalidInitialError):
         simulate(out_regular3, np.array([0.1, 0.1]), np.zeros(3))

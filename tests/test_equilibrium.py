@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import netsirs.equilibrium
 from netsirs import (
     EndemicEquilibrium,
     NoConvergenceError,
@@ -72,9 +73,10 @@ def test_iterate_phi_from_cap_is_monotone(ref5):
     assert log.iterates[0] is not log.iterates[1]
 
 
-def test_iterate_phi_raises_when_budget_too_small(out_regular3):
+def test_iterate_phi_raises_when_budget_too_small(out_regular3, monkeypatch):
+    monkeypatch.setattr(netsirs.equilibrium, "PHI_MAX_ITER", 2)
     with pytest.raises(NoConvergenceError):
-        iterate_phi(out_regular3.ybar, out_regular3.M, out_regular3.alpha, max_iter=2)
+        iterate_phi(out_regular3.ybar, out_regular3.M, out_regular3.alpha)
 
 
 def test_lower_bracket_start_expands(ref5):

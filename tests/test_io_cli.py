@@ -310,6 +310,46 @@ def test_cli_rejects_invalid_model(tmp_path):
     assert "error: ModelInputError" in res.stderr
 
 
+# each subcommand with the arguments it needs besides --model, --tol and --out
+_SUBCOMMAND_ARGS = {
+    "r0": [],
+    "equilibrium": [],
+    "simulate": ["--random", "1", "--t-end", "0.1"],
+    "stability": [],
+    "sweep": ["--scale-min", "0.5", "--scale-max", "1.5", "--steps", "3"],
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
+def test_cli_rejects_bad_tol(tmp_path, capsys, command, tol):
+    out = tmp_path / "out"
+    argv = [command, "--model", FIVE_NODE, "--tol", tol, *_SUBCOMMAND_ARGS[command]]
+    if command != "r0":
+        argv += ["--out", str(out)]
+    assert netsirs.cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ModelInputError: --tol must be positive and finite, got {float(tol)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_simulate_rejects_negative_random(tmp_path, capsys):
+    assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "-3",
+                             "--out", str(tmp_path / "run.csv")]) == 1
+    assert capsys.readouterr().err == "error: ModelInputError: --random must be at least 0, got -3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("steps", [["--t-end", "inf"], ["--t-end", "1e300", "--dt", "1e-300"]])
+def test_cli_simulate_rejects_non_finite_step_count(tmp_path, capsys, steps):
+    assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "1", *steps,
+                             "--out", str(tmp_path / "run.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_solver_failure_exits_two(tmp_path):
     # a step size far too large for the contact strength blows up the
     # integration, which is a numerical failure, not bad input

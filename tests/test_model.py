@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import helpers
 import oracles
@@ -15,7 +16,6 @@ from netsirs import (
     ReducibleError,
     check_irreducible,
     full_from_reduced,
-    strongly_connected_components,
     validate_model,
 )
 
@@ -96,6 +96,8 @@ def test_irreducible_convention_on_trivial_graph():
     """
     assert check_irreducible(np.array([[0.0]]))
     assert check_irreducible(np.array([[1.0]]))
+    # the empty digraph has no component at all
+    assert not check_irreducible(np.zeros((0, 0)))
 
 
 def test_irreducible_on_directed_cycle():
@@ -117,12 +119,36 @@ def test_irreducible_matches_reachability_oracle(rng):
     assert agree == 200
 
 
-def test_strongly_connected_components_two_blocks():
-    # nodes {0,1} form a cycle, {2} only receives
-    W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    comps = strongly_connected_components(W > 0)
-    as_sets = sorted(sorted(c) for c in comps)
-    assert as_sets == [[0, 1], [2]]
+@st.composite
+def _random_digraphs(draw):
+    # mean out-degree from 0 to 6 straddles the connectivity threshold
+    # (about ln n) for every n up to 40
+    n = draw(st.integers(1, 40))
+    degree = draw(st.floats(0.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((n, n)) < degree / n) * rng.random((n, n))
+
+
+@given(_random_digraphs())
+@example(np.array([[0.0]]))  # the 1x1 convention: trivially strongly connected
+@example(np.array([[2.0]]))
+def test_irreducible_matches_reachability_oracle_property(W):
+    assert check_irreducible(W) == oracles.reachability_strongly_connected(W)
+
+
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.permutations(range(n)),
+                                                       st.integers(0, n - 1))))
+def test_irreducible_on_cycle_with_one_edge_removed(cycle_and_cut):
+    order, cut = cycle_and_cut
+    n = len(order)
+    W = np.zeros((n, n))
+    for k in range(n):
+        W[order[k], order[(k + 1) % n]] = 1.0
+    assert check_irreducible(W) and oracles.reachability_strongly_connected(W)
+    W[order[cut], order[(cut + 1) % n]] = 0.0
+    assert not check_irreducible(W)
+    assert not oracles.reachability_strongly_connected(W)
+
 
 
 def test_full_from_reduced_complements():

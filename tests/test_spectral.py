@@ -7,7 +7,7 @@ import helpers
 import oracles
 from netsirs import (
     NonPositiveVectorError,
-    NotIrreducibleError,
+    ReducibleError,
     collatz_wielandt_bounds,
     dominant_eigen,
     reproduction_number,
@@ -60,7 +60,7 @@ def test_collatz_wielandt_rejects_zero_component():
 
 def test_reducible_matrix_rejected():
     M = np.array([[1.0, 0.0], [0.0, 2.0]])
-    with pytest.raises(NotIrreducibleError):
+    with pytest.raises(ReducibleError):
         dominant_eigen(M)
 
 

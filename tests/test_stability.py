@@ -30,7 +30,6 @@ from netsirs import (
     jacobian_dfe,
     jacobian_endemic,
     lyapunov_derivative,
-    lyapunov_point,
     lyapunov_value,
     rank_one_lyapunov,
     rhs,
@@ -348,12 +347,6 @@ def test_lyapunov_grows_near_unstable_dfe(ref5):
     spec = dominant_eigen(ref5.M)
     y = 1e-6 * spec.v_right
     assert lyapunov_derivative(ref5, y, np.zeros(5), spectral=spec) > 0.0
-
-
-def test_lyapunov_point_bundles_fields(out_regular3):
-    pt = lyapunov_point(out_regular3, np.array([0.1, 0.0, 0.0]), np.zeros(3), finite_diff=1.5)
-    assert pt.value > 0.0
-    assert pt.finite_diff == 1.5
 
 
 def test_rank_one_lyapunov_hand_value():
