@@ -159,9 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, tol: float = 1e-12) -> None:
+    def common(p: argparse.ArgumentParser, tol: float | None = 1e-12) -> None:
         p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--tol", type=float, default=tol, help="solver tolerance")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help="solver tolerance")
 
     p = sub.add_parser("r0", help="reproduction number and Perron eigenpair")
     common(p, tol=1e-10)
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("simulate", help="integrate trajectories to CSV")
-    common(p)
+    common(p, tol=None)
     p.add_argument("--init", help="initial-condition JSON file")
     p.add_argument("--random", type=int, default=0, metavar="K",
                    help="draw K random initial conditions instead of --init")
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 0.0 < args.tol < math.inf:
+        if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ModelInputError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except ModelInputError as exc:

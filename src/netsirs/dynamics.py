@@ -102,17 +102,17 @@ def simulate(
 ) -> Trajectory:
     """Integrate from (y0, z0) and record every record_every-th step.
 
-    The initial state and the final step are always recorded. The state
-    is one stacked vector u = [y; z]; every stage writes into buffers
-    allocated once before the loop, and the recorded rows go into output
-    arrays sized up front, so no step allocates an array. Raises
-    InvalidInitialError when (1 - y0 - z0, y0, z0) is not a valid state
-    and SimplexViolationError as soon as the state leaves the simplex by
-    more than SIMPLEX_VIOLATION_TOL. Every step is checked, a recorded one
-    as its row is written and an unrecorded one into a scratch row, so the
-    run stops at the first bad step, whose time is named in the message,
-    before the state can overflow. Both checks are written so that NaN
-    fails them.
+    The initial state and the final step are always recorded. Recorded
+    states live in one (m, 3n) table of [y z x] rows: each step writes its
+    new state straight into the next row, or into one spare row when the
+    step is not recorded, fills x there and checks the whole row with one
+    minimum. Every stage writes into buffers allocated once before the
+    loop, so no step allocates an array. Raises InvalidInitialError when
+    (1 - y0 - z0, y0, z0) is not a valid state and SimplexViolationError
+    as soon as the state leaves the simplex by more than
+    SIMPLEX_VIOLATION_TOL. Every step is checked, so the run stops at the
+    first bad step, whose time is named in the message, before the state
+    can overflow. Both checks are written so that NaN fails them.
     For lyapunov_trace runs a precomputed SpectralResult for model.M can
     be passed to skip the eigensolve.
     """
@@ -135,88 +135,103 @@ def simulate(
 
     W = model.W
     dt = float(cfg.dt)
-    half = 0.5 * dt
-    sixth = dt / 6.0
     n_steps = int(round(cfg.t_end / dt))
     every = int(cfg.record_every)
     m = 1 + n_steps // every + (1 if n_steps % every else 0)
 
-    # Every buffer is allocated here, once. Each is a (whole, y half, z half)
-    # triple of views; f and the step write into them with out= in the
-    # operation order of the plain expressions in the comments, so every
-    # float is the one those expressions give.
-    def halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return v, v[:n], v[n:]
-
-    state = halves(np.concatenate([y, z]))
-    u, uy, uz = state
-    stage = halves(np.empty(2 * n))
-    k1, k2, k3, k4 = (halves(np.empty(2 * n)) for _ in range(4))
-    outflow, outflow_y, outflow_z = halves(np.empty(2 * n))
+    # Every buffer is allocated here, once, with its views. The step writes
+    # into them with out= in the operation order of the plain expressions
+    # in the comments, so every float is the one those expressions give.
+    # Every operand is an array: a Python float operand costs a ufunc call
+    # about twice as much dispatch time.
+    one = np.ones(n)
+    half = np.full(2 * n, 0.5 * dt)
+    full = np.full(2 * n, dt)
+    two = np.full(2 * n, 2.0)
+    sixth = np.full(2 * n, dt / 6.0)
     rate = np.concatenate([model.gamma, model.delta])
     s = np.empty(n)
     wy = np.empty(n)
     acc = np.empty(2 * n)
+    # field = [s * (W @ y) | gamma * y | delta * z], so k = field[:2n] - field[n:]
+    field = np.empty(3 * n)
+    drive, pair, flows = field[:n], field[:2 * n], field[n:]
+    stage = np.empty(2 * n)
+    stage_y, stage_z = stage[:n], stage[n:]
+    k1, k2, k3, k4 = (np.empty(2 * n) for _ in range(4))
     add, sub, mul, dot, lowest = np.add, np.subtract, np.multiply, np.dot, np.minimum.reduce
 
+    # Row k of the table is the k-th recorded state [y z x]; a step that is
+    # not recorded goes to the spare row.
     times = np.empty(m)
-    states = np.empty((m, 2 * n))
-    x = np.empty((m, n))
-    x_spare = np.empty(n)
+    table = np.empty((m, 3 * n))
+    spare = np.empty(3 * n)
     values = np.empty(m) if weights is not None else None
 
-    def f(v: tuple, k: tuple) -> None:
-        # k = [(1 - y - z) * (W @ y) - gamma * y; gamma * y - delta * z] at v = [y; z]
-        v, vy, vz = v
-        sub(1.0, vy, s)
-        sub(s, vz, s)
-        dot(W, vy, wy)
-        mul(s, wy, s)
-        mul(rate, v, outflow)
-        sub(s, outflow_y, k[1])
-        sub(outflow_y, outflow_z, k[2])
+    def views(row: np.ndarray) -> tuple:
+        # (row, [y z], y, z, x)
+        return row, row[:2 * n], row[:n], row[n:2 * n], row[2 * n:]
 
-    def check(t: float, x_row: np.ndarray) -> None:
-        # x_row = (1 - y) - z at u, then every fraction must be >= -tol
-        sub(1.0, uy, x_row)
-        sub(x_row, uz, x_row)
-        if not (lowest(u) >= -SIMPLEX_VIOLATION_TOL and lowest(x_row) >= -SIMPLEX_VIOLATION_TOL):
-            raise SimplexViolationError(f"state left the simplex at t = {t:.6g}; reduce dt")
+    spare_views = views(spare)
 
-    def record(row: int, t: float) -> None:
-        times[row] = t
-        states[row] = u
-        check(t, x[row])
-        if values is not None:
-            values[row] = float(weights @ uy)
+    def f(k: np.ndarray) -> None:
+        # k = [(1 - y - z) * (W @ y) - gamma * y; gamma * y - delta * z] at the stage
+        sub(one, stage_y, s)
+        sub(s, stage_z, s)
+        dot(W, stage_y, wy)
+        mul(s, wy, drive)
+        mul(rate, stage, flows)
+        sub(pair, flows, k)
 
-    record(0, 0.0)
-    row = 1
-    ahead = stage[0]
+    # row 0: the initial state, checked as every later row is
+    table[0, :n] = y
+    table[0, n:2 * n] = z
+    row, u, uy, uz, ux = views(table[0])
+    sub(one, uy, ux)
+    sub(ux, uz, ux)
+    if not lowest(row) >= -SIMPLEX_VIOLATION_TOL:
+        raise SimplexViolationError("state left the simplex at t = 0; reduce dt")
+    times[0] = 0.0
+    if values is not None:
+        values[0] = float(weights @ uy)
+    recorded = 1
     for step in range(1, n_steps + 1):
-        f(state, k1)
-        add(u, mul(k1[0], half, ahead), ahead)  # u + half * k1
-        f(stage, k2)
-        add(u, mul(k2[0], half, ahead), ahead)
-        f(stage, k3)
-        add(u, mul(k3[0], dt, ahead), ahead)
-        f(stage, k4)
-        # u + sixth * (k1 + 2 * (k2 + k3) + k4)
-        add(k2[0], k3[0], acc)
-        mul(acc, 2.0, acc)
-        add(k1[0], acc, acc)
-        add(acc, k4[0], acc)
-        add(u, mul(acc, sixth, acc), u)
+        # at u the stage-one factor (1 - y) - z is the x of u's row
+        dot(W, uy, wy)
+        mul(ux, wy, drive)
+        mul(rate, u, flows)
+        sub(pair, flows, k1)
+        add(u, mul(k1, half, stage), stage)  # u + half * k1
+        f(k2)
+        add(u, mul(k2, half, stage), stage)
+        f(k3)
+        add(u, mul(k3, full, stage), stage)
+        f(k4)
         if step % every == 0 or step == n_steps:
-            record(row, step * dt)
-            row += 1
+            row, nxt, uy, uz, ux = views(table[recorded])
         else:
-            check(step * dt, x_spare)
+            row, nxt, uy, uz, ux = spare_views
+        # u + sixth * (k1 + 2 * (k2 + k3) + k4), then x = (1 - y) - z
+        add(k2, k3, acc)
+        mul(acc, two, acc)
+        add(k1, acc, acc)
+        add(acc, k4, acc)
+        add(u, mul(acc, sixth, acc), nxt)
+        u = nxt
+        sub(one, uy, ux)
+        sub(ux, uz, ux)
+        if not lowest(row) >= -SIMPLEX_VIOLATION_TOL:
+            raise SimplexViolationError(f"state left the simplex at t = {step * dt:.6g}; reduce dt")
+        if row is not spare:
+            times[recorded] = step * dt
+            if values is not None:
+                values[recorded] = float(weights @ uy)
+            recorded += 1
 
     return Trajectory(
         times=times,
-        y=states[:, :n],
-        z=states[:, n:],
-        x=x,
+        y=table[:, :n],
+        z=table[:, n:2 * n],
+        x=table[:, 2 * n:],
         lyapunov=values,
     )

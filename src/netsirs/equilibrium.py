@@ -158,18 +158,37 @@ def solve_endemic(
     if r0 <= 1.0 + R0_TOL:
         return NoEndemic(r0=r0, near_threshold=abs(r0 - 1.0) <= R0_TOL)
 
-    upper = model.ybar.copy()
-    lower = lower_bracket_start(model, spectral.v_right)
-    gap = float(np.max(np.abs(upper - lower)))
+    # Rows 0 and 1 of Y are the upper and lower iterates. Each iteration
+    # applies Phi to both at once, with out= in the operation order of
+    # psi(M @ y): np.matvec runs one gemv per row, which equals M @ y bit
+    # for bit, and 1 + alpha is formed once.
+    M = model.M
+    Y = np.stack([model.ybar, lower_bracket_start(model, spectral.v_right)])
+    upper, lower = Y
+    MY = np.empty_like(Y)
+    denom = np.empty_like(Y)
+    one = np.ones_like(Y)
+    rate = 1.0 + model.alpha
+    diff = np.empty(model.n)
+    matvec, add, mul, div, sub = np.matvec, np.add, np.multiply, np.divide, np.subtract
+    widest = np.maximum.reduce
+
+    def width() -> float:
+        return float(widest(np.abs(sub(upper, lower, diff), diff)))
+
+    gap = width()
     iterations = 0
     while gap > tol:
         if iterations >= PHI_MAX_ITER:
             raise NoConvergenceError(
                 f"equilibrium bracket still {gap:.3e} wide after {PHI_MAX_ITER} iterations"
             )
-        upper = phi(upper, model.M, model.alpha)
-        lower = phi(lower, model.M, model.alpha)
-        gap = float(np.max(np.abs(upper - lower)))
+        # Y = MY / (1 + (1 + alpha) * MY), MY = M @ y per row
+        matvec(M, Y, MY)
+        mul(rate, MY, denom)
+        add(one, denom, denom)
+        div(MY, denom, Y)
+        gap = width()
         iterations += 1
 
     y_star = 0.5 * (upper + lower)

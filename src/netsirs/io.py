@@ -120,23 +120,25 @@ def trajectory_header(n: int, lyapunov: bool) -> str:
 CSV_CHUNK_ROWS = 1000
 
 
-def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
-    """Write one row per recorded state, every number as format(v, ".12g").
+def _write_table(path: str, header: str, table: np.ndarray) -> None:
+    """Write the header line, then one row per table row, every number
+    as "%.12g". Each chunk of CSV_CHUNK_ROWS rows is a single %-format of
+    the row format repeated once per row."""
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
+            chunk = table[start:start + CSV_CHUNK_ROWS]
+            fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
-    The values go into one table first; each row is then a single
-    %-format, written in chunks of CSV_CHUNK_ROWS rows.
-    """
+
+def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
+    """Write one row per recorded state, every number as format(v, ".12g")."""
     with_v = trajectory.lyapunov is not None
     columns = [trajectory.times[:, None], trajectory.y, trajectory.z, trajectory.x]
     if with_v:
         columns.append(trajectory.lyapunov[:, None])
-    table = np.hstack(columns)
-    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(trajectory_header(trajectory.y.shape[1], with_v) + "\n")
-        for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
-            chunk = table[start:start + CSV_CHUNK_ROWS].tolist()
-            fh.write("".join([line % tuple(row) for row in chunk]))
+    _write_table(path, trajectory_header(trajectory.y.shape[1], with_v), np.hstack(columns))
 
 
 SWEEP_HEADER = "scale,r0,endemic_norm,dfe_abscissa,endemic_abscissa"
@@ -144,9 +146,6 @@ SWEEP_HEADER = "scale,r0,endemic_norm,dfe_abscissa,endemic_abscissa"
 
 def write_sweep_csv(rows, path: str) -> None:
     """Write one row per sweep point, every number as "%.12g"."""
-    line = ",".join(["%.12g"] * 5) + "\n"
-    with open(path, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        fh.write("".join([line % (row.scale, row.r0, row.endemic_norm,
-                                  row.dfe_abscissa, row.endemic_abscissa)
-                          for row in rows]))
+    table = np.array([(row.scale, row.r0, row.endemic_norm, row.dfe_abscissa,
+                       row.endemic_abscissa) for row in rows], dtype=float).reshape(-1, 5)
+    _write_table(path, SWEEP_HEADER, table)

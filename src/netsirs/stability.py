@@ -194,6 +194,14 @@ def eta_bound(model: ModelInstance, y_star: np.ndarray) -> float:
     return float(min(wy.min(), model.delta.min()))
 
 
+def _pole_shifts(model: ModelInstance, lam: complex) -> np.ndarray:
+    """delta + lam; raises SingularShiftError when lam is a pole -delta_i."""
+    shifts = model.delta + lam
+    if np.any(np.abs(shifts) < 1e-14):
+        raise SingularShiftError("lam coincides with -delta_i")
+    return shifts
+
+
 def schur_matrix(model: ModelInstance, y_star: np.ndarray, lam: complex) -> np.ndarray:
     """Schur complement of the recovered block in the shifted Jacobian,
 
@@ -206,9 +214,7 @@ def schur_matrix(model: ModelInstance, y_star: np.ndarray, lam: complex) -> np.n
     """
     y = np.asarray(y_star, dtype=float)
     lam = complex(lam)
-    shifts = model.delta + lam
-    if np.any(np.abs(shifts) < 1e-14):
-        raise SingularShiftError("lam coincides with -delta_i")
+    shifts = _pole_shifts(model, lam)
     z = model.alpha * y
     x = 1.0 - y - z
     wy = model.W @ y
@@ -269,14 +275,30 @@ def gershgorin_certificate(
     """
     y = np.asarray(y_star, dtype=float)
     eta = eta_bound(model, y)
+    # The terms of schur_matrix that do not depend on lam, formed once.
+    # moduli holds the off-diagonal |x*_k W_kj y*_j|; each sample writes
+    # only its diagonal, so the row sums add the same numbers in the same
+    # order as summing |schur_matrix(model, y, lam) * y| does.
+    x = 1.0 - y - model.alpha * y
+    wy = model.W @ y
+    base = wy + model.gamma
+    inflow = model.gamma * wy
+    own = x * np.diagonal(model.W)
+    moduli = x[:, None] * model.W
+    moduli *= y
+    np.abs(moduli, moduli)
+    diagonal = np.diag_indices_from(moduli)
     out = []
     for lam in lambda_samples:
         lam = complex(lam)
         if lam.real <= -eta:
             raise ValueError(f"sample {lam} lies outside the half-plane Re > {-eta:.6g}")
-        H = schur_matrix(model, y, lam) * y[None, :]
-        radii = np.abs(H).sum(axis=1) - np.abs(np.diagonal(H))
-        margins = -(np.diagonal(H).real + radii)
+        shifts = _pole_shifts(model, lam)
+        # H_kk = (x*_k W_kk - (wy + gamma + lam + gamma wy / shifts)_k) y*_k
+        h = (own - (base + lam + inflow / shifts)) * y
+        h_abs = np.abs(h)
+        moduli[diagonal] = h_abs
+        margins = -(h.real + (moduli.sum(axis=1) - h_abs))
         min_margin = float(margins.min())
         out.append(GershgorinSample(lam=lam, all_disks_left=min_margin > 0.0,
                                     min_margin=min_margin))

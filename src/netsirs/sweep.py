@@ -18,13 +18,15 @@ from .stability import jacobian_dfe  # noqa: F401  (perfbench/spans.py wraps thi
 class SweepRow:
     """One scale point. endemic_norm is ||y_star||_inf, or 0 when the
     scaled model has no endemic equilibrium; endemic_abscissa is NaN in
-    that case. A row whose computation failed is all-NaN except scale."""
+    that case. A row whose computation failed is all-NaN except scale,
+    and its error is "<ErrorType>: <message>"; error is None otherwise."""
 
     scale: float
     r0: float
     endemic_norm: float
     dfe_abscissa: float
     endemic_abscissa: float
+    error: str | None = None
 
 
 def run_sweep(
@@ -37,12 +39,12 @@ def run_sweep(
     """Rescale W by each s on a uniform grid and re-solve each row.
 
     Returns the rows in grid order plus the number of rows that failed
-    and were recorded as NaN. The Perron pair of the model is solved once:
-    rho(sM) = s rho(M) and the eigenvectors do not move, so every row
-    reuses it scaled by s. An error of that one solve is not a row
-    failure and propagates to the caller. The DFE abscissa comes from
-    dfe_abscissa, with no eigensolve; only the endemic abscissa of a
-    supercritical row takes a dense one.
+    and were recorded as NaN, each with its error. The Perron pair of
+    the model is solved once: rho(sM) = s rho(M) and the eigenvectors do
+    not move, so every row reuses it scaled by s. An error of that one
+    solve is not a row failure and propagates to the caller. The DFE
+    abscissa comes from dfe_abscissa, with no eigensolve; only the
+    endemic abscissa of a supercritical row takes a dense one.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -65,9 +67,10 @@ def run_sweep(
                 endemic = float("nan")
             rows.append(SweepRow(scale=scale, r0=spectral.lam, endemic_norm=norm,
                                  dfe_abscissa=dfe, endemic_abscissa=endemic))
-        except NetsirsError:
+        except NetsirsError as exc:
             nan = float("nan")
             rows.append(SweepRow(scale=scale, r0=nan, endemic_norm=nan,
-                                 dfe_abscissa=nan, endemic_abscissa=nan))
+                                 dfe_abscissa=nan, endemic_abscissa=nan,
+                                 error=f"{type(exc).__name__}: {exc}"))
             failures += 1
     return rows, failures

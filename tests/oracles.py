@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test: reachability
 by boolean matrix powers instead of breadth-first sweeps, the dominant
 eigenvalue by bisection on a cofactor-expansion characteristic polynomial
 instead of power iteration, Jacobians by central differences, fixed points by an
-exhaustive grid scan polished with Newton steps, and RK4 steps as plain
-array expressions instead of the preallocated in-place loop.
+exhaustive grid scan polished with Newton steps, RK4 steps as plain
+array expressions instead of the preallocated in-place loop, and the
+equilibrium bracket as two serial Phi sequences instead of one stacked
+pair.
 """
 
 from __future__ import annotations
@@ -113,6 +115,33 @@ def rk4_plain(model, y: np.ndarray, z: np.ndarray, dt: float, n_steps: int):
         ys.append(y)
         zs.append(z)
     return np.array(ys), np.array(zs)
+
+
+def bracket_serial(model, v_right: np.ndarray, tol: float = 1e-12):
+    """The two-sided Phi bracket of solve_endemic, one sequence at a time
+    with plain expressions: the upper from the cap, the lower from the
+    largest halving of min(ybar) / (2 max v) v that Phi expands. Returns
+    (midpoint, iterations, final sup-norm gap)."""
+    M, alpha = model.M, model.alpha
+
+    def phi(y):
+        My = M @ y
+        return My / (1.0 + (1.0 + alpha) * My)
+
+    eps = float(np.min(model.ybar) / (2.0 * np.max(v_right)))
+    lower = eps * v_right
+    while not np.all(phi(lower) >= lower):
+        eps *= 0.5
+        lower = eps * v_right
+    upper = model.ybar.copy()
+    gap = float(np.max(np.abs(upper - lower)))
+    iterations = 0
+    while gap > tol:
+        upper = phi(upper)
+        lower = phi(lower)
+        gap = float(np.max(np.abs(upper - lower)))
+        iterations += 1
+    return 0.5 * (upper + lower), iterations, gap
 
 
 def batch_phi(Y: np.ndarray, M: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from netsirs import (
     SimplexViolationError,
     Trajectory,
     lyapunov_value,
+    reproduction_number,
     residual,
     rhs,
     simulate,
@@ -133,6 +134,29 @@ def test_simulate_matches_plain_rk4_bit_for_bit(n):
     assert np.array_equal(traj.z, zs)
     assert np.array_equal(traj.x, 1.0 - ys - zs)
     assert np.array_equal(traj.times, np.arange(301) * 0.02)
+
+
+@pytest.mark.parametrize("lyapunov", [False, True])
+def test_simulate_sparse_records_match_plain_rk4(ref5, lyapunov):
+    """With --record-every 7 over 100 steps the last row is the ragged
+    final step; every recorded row, spare-row steps between them, and the
+    V column equal the plain RK4 rows bit for bit."""
+    rng = np.random.default_rng(11)
+    y0 = rng.uniform(0.0, 0.3, size=5)
+    z0 = rng.uniform(0.0, 0.3, size=5)
+    cfg = IntegratorConfig(dt=0.02, t_end=2.0, record_every=7, lyapunov_trace=lyapunov)
+    traj = simulate(ref5, y0, z0, cfg)
+    steps = [*range(0, 100, 7), 100]
+    ys, zs = oracles.rk4_plain(ref5, y0, z0, 0.02, 100)
+    assert np.array_equal(traj.y, ys[steps])
+    assert np.array_equal(traj.z, zs[steps])
+    assert np.array_equal(traj.x, 1.0 - ys[steps] - zs[steps])
+    assert np.array_equal(traj.times, np.array(steps) * 0.02)
+    if lyapunov:
+        weights = reproduction_number(ref5)[1].v_left / ref5.gamma
+        assert np.array_equal(traj.lyapunov, [weights @ ys[k] for k in steps])
+    else:
+        assert traj.lyapunov is None
 
 
 def test_fourth_order_error_decay(ref5):

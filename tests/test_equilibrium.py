@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 import netsirs.equilibrium
+import oracles
 from netsirs import (
     EndemicEquilibrium,
     NoConvergenceError,
@@ -17,6 +19,7 @@ from netsirs import (
     phi,
     psi,
     reconstruct_full,
+    reproduction_number,
     solve_endemic,
     validate_model,
 )
@@ -184,3 +187,18 @@ def test_monotone_response_to_contact_scaling(rng):
     scaled = validate_model(1.5 * m.W, m.gamma, m.delta)
     more = solve_endemic(scaled)
     assert np.all(more.y_star >= base.y_star - 1e-12)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(1.05, 6.0))
+def test_solve_endemic_equals_serial_bracket(n, seed, r0):
+    """The stacked (2, n) bracket performs the operations of two serial
+    Phi sequences, so the result is equal to the last bit."""
+    model = helpers.random_supercritical(np.random.default_rng(seed), n, r0)
+    _, spectral = reproduction_number(model)
+    solved = solve_endemic(model, spectral=spectral)
+    assert isinstance(solved, EndemicEquilibrium)
+    y_star, iterations, gap = oracles.bracket_serial(model, spectral.v_right)
+    assert np.array_equal(solved.y_star, y_star)
+    assert solved.iterations == iterations
+    assert solved.bracket_gap == gap

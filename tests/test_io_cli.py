@@ -224,6 +224,18 @@ def test_sweep_solves_perron_pair_once(monkeypatch):
     assert any(row.endemic_norm == 0.0 for row in rows)
 
 
+def test_sweep_rows_keep_their_error():
+    rows, failures = run_sweep(load_model(FIVE_NODE), -0.5, 2.0, 41)
+    assert failures == 9
+    errors = {row.scale: row.error for row in rows if row.error is not None}
+    negative = [scale for scale, error in errors.items() if error.startswith("NegativeEntryError: ")]
+    assert len(negative) == 8 and all(scale < 0.0 for scale in negative)
+    assert errors[0.0] == "ReducibleError: the support digraph of W is not strongly connected"
+    assert len(errors) == failures
+    for row in rows:
+        assert (row.error is None) == (row.scale > 0.0)
+
+
 # sha256 of `netsirs sweep` CSVs on five_node, recorded from the code that
 # took the DFE abscissa from a dense eigensolve of the 2n x 2n Jacobian
 _SWEEP_GOLDEN = {
@@ -310,11 +322,11 @@ def test_cli_rejects_invalid_model(tmp_path):
     assert "error: ModelInputError" in res.stderr
 
 
-# each subcommand with the arguments it needs besides --model, --tol and --out
+# each subcommand that takes --tol, with the arguments it needs besides
+# --model, --tol and --out
 _SUBCOMMAND_ARGS = {
     "r0": [],
     "equilibrium": [],
-    "simulate": ["--random", "1", "--t-end", "0.1"],
     "stability": [],
     "sweep": ["--scale-min", "0.5", "--scale-max", "1.5", "--steps", "3"],
 }
@@ -331,6 +343,18 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, command, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ModelInputError: --tol must be positive and finite, got {float(tol)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_simulate_has_no_tol_flag(tmp_path, capsys):
+    # simulate has no solver tolerance, so argparse rejects the flag
+    with pytest.raises(SystemExit) as exit_:
+        netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "1", "--t-end", "0.1",
+                          "--tol", "1e-3", "--out", str(tmp_path / "run.csv")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --tol 1e-3" in err
     assert list(tmp_path.iterdir()) == []
 
 

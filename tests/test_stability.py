@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from netsirs import (
     INCONCLUSIVE,
     DfeAbscissa,
     FullState,
+    GershgorinSample,
     IntegratorConfig,
     InvalidAtBoundaryError,
     NoConvergenceError,
@@ -29,6 +32,7 @@ from netsirs import (
     gershgorin_certificate,
     jacobian_dfe,
     jacobian_endemic,
+    load_model,
     lyapunov_derivative,
     lyapunov_value,
     rank_one_lyapunov,
@@ -184,6 +188,48 @@ def test_gershgorin_rejects_sample_outside_half_plane(out_regular3):
     eq = solve_endemic(out_regular3)
     with pytest.raises(ValueError):
         gershgorin_certificate(out_regular3, eq.y_star, [complex(-0.6)])
+
+
+def _gershgorin_by_schur(model, y, samples):
+    """Each sample from its own schur_matrix, the certificate's reference."""
+    out = []
+    for lam in samples:
+        lam = complex(lam)
+        H = schur_matrix(model, y, lam) * y[None, :]
+        radii = np.abs(H).sum(axis=1) - np.abs(np.diagonal(H))
+        min_margin = float((-(np.diagonal(H).real + radii)).min())
+        out.append(GershgorinSample(lam=lam, all_disks_left=min_margin > 0.0,
+                                    min_margin=min_margin))
+    return out
+
+
+_FIVE_NODE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_node.json")
+
+
+@pytest.mark.parametrize("which", ["five_node", "out_regular3", "single_node"])
+def test_gershgorin_equals_schur_matrix_route(which):
+    """Precomputing the shift-free part of H(lam) changes no float: every
+    sample equals the one summed from a full schur_matrix, near a pole too."""
+    model = {
+        "five_node": lambda: load_model(_FIVE_NODE),
+        "out_regular3": helpers.out_regular,
+        "single_node": lambda: validate_model([[10.0]], [1.0], [0.1]),
+    }[which]()
+    y = solve_endemic(model).y_star
+    eta = eta_bound(model, y)
+    samples = default_lambda_samples(eta, seed=3)
+    # the pole nearest the half-plane is -min(delta); it sits on the edge
+    # Re(lam) = -eta when eta = min(delta)
+    pole = -float(model.delta.min())
+    samples += [complex(max(pole, -eta) + d, im) for d in (1e-12, 1e-9, 1e-6)
+                for im in (0.0, 1e-9, -3.0)]
+    assert gershgorin_certificate(model, y, samples) == _gershgorin_by_schur(model, y, samples)
+    if eta == -pole:
+        lam = complex(pole + 1e-15)
+        with pytest.raises(SingularShiftError):
+            schur_matrix(model, y, lam)
+        with pytest.raises(SingularShiftError):
+            gershgorin_certificate(model, y, [lam])
 
 
 def test_default_lambda_samples_layout():
