@@ -25,7 +25,7 @@ from .io import (
     write_trajectory_csv,
 )
 from .spectral import reproduction_number
-from .stability import dfe_abscissa, endemic_certificate
+from .stability import dfe_abscissa, endemic_certificate, lyapunov_value
 from .stability import jacobian_dfe, spectral_abscissa  # noqa: F401  (perfbench/spans.py wraps these names)
 from .sweep import run_sweep
 
@@ -96,12 +96,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         starts = sample_initial_states(model.n, args.random, rng)
     config = IntegratorConfig(dt=args.dt, t_end=args.t_end,
-                              record_every=args.record_every,
-                              lyapunov_trace=args.lyapunov)
+                              record_every=args.record_every)
+    spectral = reproduction_number(model)[1] if args.lyapunov else None
     for index, (y0, z0) in enumerate(starts):
         trajectory = simulate(model, y0, z0, config)
         path = args.out if len(starts) == 1 else _suffixed(args.out, index)
-        write_trajectory_csv(trajectory, path)
+        values = None if spectral is None else lyapunov_value(model, trajectory.y, spectral)
+        write_trajectory_csv(trajectory, path, values)
         print(f"wrote {path}")
     return 0
 

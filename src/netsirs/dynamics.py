@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import InvalidInitialError, SimplexViolationError
 from .model import FullState, ModelInstance
-from .spectral import SpectralResult, reproduction_number
 
 SIMPLEX_VIOLATION_TOL = 1e-6
+# relative distance of t_end / dt from a whole number that rounding absorbs
+STEP_COUNT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,45 +34,53 @@ class IntegratorConfig:
     """Fixed-step RK4 settings.
 
     dt must be positive, t_end at least one step long, both finite with a
-    finite step count t_end / dt, and record_every >= 1.
-    When lyapunov_trace is set the value v_left' [gamma]^-1 y is recorded
-    alongside every state (v_left is the positive left eigenvector of M,
-    unit 1-norm), which is nonincreasing along trajectories of subcritical
-    models.
+    finite step count t_end / dt that is a whole number up to a relative
+    STEP_COUNT_SLACK, and record_every >= 1.
     """
 
     dt: float = 0.01
     t_end: float = 100.0
     record_every: int = 1
-    lyapunov_trace: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
         if not self.dt <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and cover at least one step")
-        if not self.t_end / self.dt < math.inf:
+        steps = self.t_end / self.dt
+        if not steps < math.inf:
             raise ValueError("t_end / dt must be a finite number of steps")
+        if abs(steps - round(steps)) > STEP_COUNT_SLACK * steps:
+            raise ValueError(f"t_end = {self.t_end:g} is not a whole number of "
+                             f"steps of dt = {self.dt:g} (t_end / dt = {steps:.12g})")
         if int(self.record_every) < 1:
             raise ValueError("record_every must be a positive integer")
+
+
+def _block(k: int) -> property:
+    # the k-th n-column block of [y z x], as a view into the table
+    return property(lambda self: self.table[:, 1 + k * self.n:1 + (k + 1) * self.n])
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded states of one integration.
 
-    times has shape (m,); y, z and x have shape (m, n) with row k the
-    state at times[k]; lyapunov is None or shape (m,).
+    table has shape (m, 1 + 3n), row k the k-th recorded state [t y z x],
+    which is the trajectory CSV row. times (m,) and y, z, x (m, n) are
+    views into it.
     """
 
-    times: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    x: np.ndarray
-    lyapunov: np.ndarray | None = None
+    table: np.ndarray
+    times = property(lambda self: self.table[:, 0])
+    y, z, x = _block(0), _block(1), _block(2)
 
     def __len__(self) -> int:
-        return self.times.shape[0]
+        return self.table.shape[0]
+
+    @property
+    def n(self) -> int:
+        return (self.table.shape[1] - 1) // 3
 
     @property
     def states(self) -> list[FullState]:
@@ -98,23 +107,21 @@ def simulate(
     y0: np.ndarray,
     z0: np.ndarray,
     config: IntegratorConfig | None = None,
-    spectral: SpectralResult | None = None,
 ) -> Trajectory:
     """Integrate from (y0, z0) and record every record_every-th step.
 
     The initial state and the final step are always recorded. Recorded
-    states live in one (m, 3n) table of [y z x] rows: each step writes its
-    new state straight into the next row, or into one spare row when the
-    step is not recorded, fills x there and checks the whole row with one
-    minimum. Every stage writes into buffers allocated once before the
-    loop, so no step allocates an array. Raises InvalidInitialError when
-    (1 - y0 - z0, y0, z0) is not a valid state and SimplexViolationError
-    as soon as the state leaves the simplex by more than
-    SIMPLEX_VIOLATION_TOL. Every step is checked, so the run stops at the
-    first bad step, whose time is named in the message, before the state
-    can overflow. Both checks are written so that NaN fails them.
-    For lyapunov_trace runs a precomputed SpectralResult for model.M can
-    be passed to skip the eigensolve.
+    states live in one (m, 1 + 3n) table of [t y z x] rows: each step
+    writes its new state straight into the next row, or into one spare
+    row when the step is not recorded, fills x there and checks the
+    [y z x] part with one minimum. Every stage writes into buffers
+    allocated once before the loop, so no step allocates an array.
+    Raises InvalidInitialError when (1 - y0 - z0, y0, z0) is not a valid
+    state and SimplexViolationError as soon as the state leaves the
+    simplex by more than SIMPLEX_VIOLATION_TOL. Every step is checked, so
+    the run stops at the first bad step, whose time is named in the
+    message, before the state can overflow. Both checks are written so
+    that NaN fails them.
     """
     cfg = config if config is not None else IntegratorConfig()
     y = np.array(y0, dtype=float)
@@ -126,12 +133,6 @@ def simulate(
         )
     if not (np.all(y >= 0.0) and np.all(z >= 0.0) and np.all(y + z <= 1.0 + 1e-12)):
         raise InvalidInitialError("initial fractions must be nonnegative with y + z <= 1")
-
-    weights = None
-    if cfg.lyapunov_trace:
-        if spectral is None:
-            spectral = reproduction_number(model)[1]
-        weights = spectral.v_left / model.gamma
 
     W = model.W
     dt = float(cfg.dt)
@@ -161,16 +162,14 @@ def simulate(
     k1, k2, k3, k4 = (np.empty(2 * n) for _ in range(4))
     add, sub, mul, dot, lowest = np.add, np.subtract, np.multiply, np.dot, np.minimum.reduce
 
-    # Row k of the table is the k-th recorded state [y z x]; a step that is
-    # not recorded goes to the spare row.
-    times = np.empty(m)
-    table = np.empty((m, 3 * n))
+    # Row k of the table is the k-th recorded state [t y z x]; a step that
+    # is not recorded goes to the [y z x] spare row.
+    table = np.empty((m, 1 + 3 * n))
     spare = np.empty(3 * n)
-    values = np.empty(m) if weights is not None else None
 
-    def views(row: np.ndarray) -> tuple:
-        # (row, [y z], y, z, x)
-        return row, row[:2 * n], row[:n], row[n:2 * n], row[2 * n:]
+    def views(state: np.ndarray) -> tuple:
+        # state [y z x] -> (state, [y z], y, z, x)
+        return state, state[:2 * n], state[:n], state[n:2 * n], state[2 * n:]
 
     spare_views = views(spare)
 
@@ -184,16 +183,14 @@ def simulate(
         sub(pair, flows, k)
 
     # row 0: the initial state, checked as every later row is
-    table[0, :n] = y
-    table[0, n:2 * n] = z
-    row, u, uy, uz, ux = views(table[0])
+    table[0, 0] = 0.0
+    table[0, 1:1 + n] = y
+    table[0, 1 + n:1 + 2 * n] = z
+    state, u, uy, uz, ux = views(table[0, 1:])
     sub(one, uy, ux)
     sub(ux, uz, ux)
-    if not lowest(row) >= -SIMPLEX_VIOLATION_TOL:
+    if not lowest(state) >= -SIMPLEX_VIOLATION_TOL:
         raise SimplexViolationError("state left the simplex at t = 0; reduce dt")
-    times[0] = 0.0
-    if values is not None:
-        values[0] = float(weights @ uy)
     recorded = 1
     for step in range(1, n_steps + 1):
         # at u the stage-one factor (1 - y) - z is the x of u's row
@@ -208,9 +205,9 @@ def simulate(
         add(u, mul(k3, full, stage), stage)
         f(k4)
         if step % every == 0 or step == n_steps:
-            row, nxt, uy, uz, ux = views(table[recorded])
+            state, nxt, uy, uz, ux = views(table[recorded, 1:])
         else:
-            row, nxt, uy, uz, ux = spare_views
+            state, nxt, uy, uz, ux = spare_views
         # u + sixth * (k1 + 2 * (k2 + k3) + k4), then x = (1 - y) - z
         add(k2, k3, acc)
         mul(acc, two, acc)
@@ -220,18 +217,10 @@ def simulate(
         u = nxt
         sub(one, uy, ux)
         sub(ux, uz, ux)
-        if not lowest(row) >= -SIMPLEX_VIOLATION_TOL:
+        if not lowest(state) >= -SIMPLEX_VIOLATION_TOL:
             raise SimplexViolationError(f"state left the simplex at t = {step * dt:.6g}; reduce dt")
-        if row is not spare:
-            times[recorded] = step * dt
-            if values is not None:
-                values[recorded] = float(weights @ uy)
+        if state is not spare:
+            table[recorded, 0] = step * dt
             recorded += 1
 
-    return Trajectory(
-        times=times,
-        y=table[:, :n],
-        z=table[:, n:2 * n],
-        x=table[:, 2 * n:],
-        lyapunov=values,
-    )
+    return Trajectory(table)

@@ -79,7 +79,10 @@ def load_initial(path: str) -> tuple[np.ndarray, np.ndarray]:
     for key in ("y0", "z0"):
         if key not in data:
             raise ModelInputError(f"initial-condition file {path} is missing {key!r}")
-    return np.asarray(data["y0"], dtype=float), np.asarray(data["z0"], dtype=float)
+    try:
+        return np.asarray(data["y0"], dtype=float), np.asarray(data["z0"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelInputError(f"initial-condition file {path} has malformed vectors: {exc}") from exc
 
 
 def sample_initial_states(
@@ -132,13 +135,15 @@ def _write_table(path: str, header: str, table: np.ndarray) -> None:
             fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
-def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
-    """Write one row per recorded state, every number as format(v, ".12g")."""
-    with_v = trajectory.lyapunov is not None
-    columns = [trajectory.times[:, None], trajectory.y, trajectory.z, trajectory.x]
-    if with_v:
-        columns.append(trajectory.lyapunov[:, None])
-    _write_table(path, trajectory_header(trajectory.y.shape[1], with_v), np.hstack(columns))
+def write_trajectory_csv(trajectory: Trajectory, path: str,
+                         lyapunov: np.ndarray | None = None) -> None:
+    """Write the [t y z x] record table, one CSV row per recorded state,
+    every number as "%.12g". A given lyapunov, one value per row, is
+    appended as the column V."""
+    table = trajectory.table
+    if lyapunov is not None:
+        table = np.column_stack((table, lyapunov))
+    _write_table(path, trajectory_header(trajectory.n, lyapunov is not None), table)
 
 
 SWEEP_HEADER = "scale,r0,endemic_norm,dfe_abscissa,endemic_abscissa"

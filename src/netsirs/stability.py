@@ -348,15 +348,16 @@ def lyapunov_value(
     model: ModelInstance,
     y: np.ndarray,
     spectral: SpectralResult | None = None,
-) -> float:
-    """Threshold Lyapunov value V = v_left' [gamma]^-1 y.
+) -> float | np.ndarray:
+    """Threshold Lyapunov value V = v_left' [gamma]^-1 y of one state y,
+    or of each row of an (m, n) block, such as Trajectory.y.
 
     v_left is the positive left eigenvector of M at unit 1-norm; pass a
     precomputed SpectralResult to skip the eigensolve.
     """
     if spectral is None:
         spectral = reproduction_number(model)[1]
-    return float((spectral.v_left / model.gamma) @ np.asarray(y, dtype=float))
+    return np.vecdot(np.asarray(y, dtype=float), spectral.v_left / model.gamma)
 
 
 def lyapunov_derivative(

@@ -55,6 +55,11 @@ def test_config_rejects_bad_settings():
         IntegratorConfig(dt=0.1, t_end=0.05)
     with pytest.raises(ValueError):
         IntegratorConfig(record_every=0)
+    # t_end must be a whole number of steps: 0.1 / 0.06 and 1 / 0.4 are not
+    with pytest.raises(ValueError):
+        IntegratorConfig(dt=0.06, t_end=0.1)
+    with pytest.raises(ValueError):
+        IntegratorConfig(dt=0.4, t_end=1.0)
 
 
 @pytest.mark.parametrize("dt, t_end", [(0.01, np.inf), (np.inf, np.inf), (np.nan, 1.0),
@@ -144,7 +149,7 @@ def test_simulate_sparse_records_match_plain_rk4(ref5, lyapunov):
     rng = np.random.default_rng(11)
     y0 = rng.uniform(0.0, 0.3, size=5)
     z0 = rng.uniform(0.0, 0.3, size=5)
-    cfg = IntegratorConfig(dt=0.02, t_end=2.0, record_every=7, lyapunov_trace=lyapunov)
+    cfg = IntegratorConfig(dt=0.02, t_end=2.0, record_every=7)
     traj = simulate(ref5, y0, z0, cfg)
     steps = [*range(0, 100, 7), 100]
     ys, zs = oracles.rk4_plain(ref5, y0, z0, 0.02, 100)
@@ -153,10 +158,23 @@ def test_simulate_sparse_records_match_plain_rk4(ref5, lyapunov):
     assert np.array_equal(traj.x, 1.0 - ys[steps] - zs[steps])
     assert np.array_equal(traj.times, np.array(steps) * 0.02)
     if lyapunov:
-        weights = reproduction_number(ref5)[1].v_left / ref5.gamma
-        assert np.array_equal(traj.lyapunov, [weights @ ys[k] for k in steps])
+        spectral = reproduction_number(ref5)[1]
+        weights = spectral.v_left / ref5.gamma
+        assert np.array_equal(lyapunov_value(ref5, traj.y, spectral),
+                              [weights @ ys[k] for k in steps])
     else:
-        assert traj.lyapunov is None
+        assert traj.table.shape == (len(steps), 1 + 3 * 5)
+
+
+def test_trajectory_views_share_the_record_table(ref5):
+    """times, y, z and x are views into the one [t y z x] table."""
+    traj = simulate(ref5, np.full(5, 0.1), np.zeros(5),
+                    IntegratorConfig(dt=0.1, t_end=1.0, record_every=3))
+    assert traj.table.shape == (len(traj), 1 + 3 * 5)
+    for view in (traj.times, traj.y, traj.z, traj.x):
+        assert np.shares_memory(view, traj.table)
+    assert np.array_equal(traj.table, np.column_stack((traj.times, traj.y, traj.z, traj.x)))
+    assert np.array_equal(traj.times, np.array([0, 3, 6, 9, 10]) * 0.1)
 
 
 def test_fourth_order_error_decay(ref5):
@@ -174,13 +192,14 @@ def test_fourth_order_error_decay(ref5):
 
 def test_lyapunov_trace_matches_pointwise(out_regular3):
     sub = helpers.out_regular(n=3, row_sum=0.8)
-    cfg = IntegratorConfig(dt=0.01, t_end=5.0, record_every=10, lyapunov_trace=True)
+    cfg = IntegratorConfig(dt=0.01, t_end=5.0, record_every=10)
     traj = simulate(sub, np.array([0.2, 0.1, 0.0]), np.zeros(3), cfg)
-    assert traj.lyapunov is not None
-    assert traj.lyapunov.shape == traj.times.shape
+    trace = lyapunov_value(sub, traj.y)
+    assert trace is not None
+    assert trace.shape == traj.times.shape
     for k in range(len(traj)):
         v = lyapunov_value(sub, traj.y[k])
-        assert traj.lyapunov[k] == pytest.approx(v, abs=1e-12)
+        assert trace[k] == pytest.approx(v, abs=1e-12)
     # subcritical: the trace decays monotonically
-    assert np.all(np.diff(traj.lyapunov) <= 1e-12)
-    assert traj.lyapunov[-1] < traj.lyapunov[0]
+    assert np.all(np.diff(trace) <= 1e-12)
+    assert trace[-1] < trace[0]

@@ -60,6 +60,10 @@ _BAD_MODEL_FIELDS = ({"n": None}, {"name": 42}, {"n": 2.7}, {"n": True})
 # valid JSON that is not an object
 _NON_OBJECT_JSON = ("5", "[1, 2]", "null", '"model"')
 
+# initial-condition fields that are not numeric vectors: an object, a
+# string and a ragged list
+_BAD_INITIAL_Y0 = ({"a": 1}, "abc", [[0.1], [0.1, 0.2]])
+
 
 def _counting(fn):
     def counted(*args, **kwargs):
@@ -129,6 +133,10 @@ def test_load_initial(tmp_path):
         load_initial(str(path))
     for text in _NON_OBJECT_JSON:
         path.write_text(text)
+        with pytest.raises(ModelInputError):
+            load_initial(str(path))
+    for y0 in _BAD_INITIAL_Y0:
+        path.write_text(json.dumps({"y0": y0, "z0": [0.0, 0.2]}))
         with pytest.raises(ModelInputError):
             load_initial(str(path))
 
@@ -511,12 +519,15 @@ def test_cli_simulate_rejects_nan_initial(tmp_path):
 
 def test_cli_simulate_rejects_non_object_initial(tmp_path):
     init = tmp_path / "init.json"
-    init.write_text("5")
     out = tmp_path / "run.csv"
-    res = _cli("simulate", "--model", FIVE_NODE, "--init", str(init), "--out", str(out))
-    assert res.returncode == 1
-    assert "error: ModelInputError" in res.stderr
-    assert not out.exists()
+    texts = ["5", *(json.dumps({"y0": y0, "z0": [0.0] * 5}) for y0 in _BAD_INITIAL_Y0)]
+    for text in texts:
+        init.write_text(text)
+        res = _cli("simulate", "--model", FIVE_NODE, "--init", str(init), "--out", str(out))
+        assert res.returncode == 1
+        assert "error: ModelInputError" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
 
 def test_cli_simulate_aborts_at_first_bad_record(tmp_path):
@@ -638,6 +649,17 @@ def test_cli_stability_subcritical_has_no_endemic_block(tmp_path):
     data = json.loads(res.stdout)
     assert data["endemic"] is None
     assert data["dfe"]["verdict"] == "Stable"
+
+
+@pytest.mark.parametrize("bounds", [("nan", "1.0"), ("0.5", "inf"), ("-inf", "1.0")])
+def test_cli_sweep_rejects_non_finite_scale(tmp_path, capsys, bounds):
+    out = tmp_path / "sweep.csv"
+    assert netsirs.cli.main(["sweep", "--model", FIVE_NODE, f"--scale-min={bounds[0]}",
+                             f"--scale-max={bounds[1]}", "--steps", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ModelInputError: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_sweep(tmp_path):
