@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: r0, equilibrium, simulate, stability, sweep. Exit codes:
-0 on success, 1 on input or validation errors, 2 on numerical failures.
+0 on success, 1 on input or validation errors (bad flags included), 2 on
+numerical failures. Either error leaves as one line on stderr,
+"error: <ErrorType>: <message>".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -153,8 +154,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ModelInputError where argparse would
+    print a usage block and exit 2, and that reads any argument that
+    parses as a float (-1e-3, -inf, -nan) as a value, never as a flag, so
+    the library judges such values."""
+
+    def error(self, message: str):
+        raise ModelInputError(message)
+
+    def _parse_optional(self, arg_string: str):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netsirs",
         description="Network SIRS epidemic model toolkit",
     )
@@ -206,16 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if "tol" in args and not 0.0 < args.tol < math.inf:
-            raise ModelInputError(f"--tol must be positive and finite, got {args.tol}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ModelInputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # ModelInputError is a ValueError; OSError covers unreadable or
+        # unwritable files
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInitialError, SimplexViolationError
+from .errors import InvalidInitialError, ModelInputError, SimplexViolationError
 from .model import FullState, ModelInstance
 
 SIMPLEX_VIOLATION_TOL = 1e-6
@@ -35,7 +35,7 @@ class IntegratorConfig:
 
     dt must be positive, t_end at least one step long, both finite with a
     finite step count t_end / dt that is a whole number up to a relative
-    STEP_COUNT_SLACK, and record_every >= 1.
+    STEP_COUNT_SLACK, and record_every >= 1; ModelInputError otherwise.
     """
 
     dt: float = 0.01
@@ -44,17 +44,17 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
+            raise ModelInputError("dt must be positive and finite")
         if not self.dt <= self.t_end < math.inf:
-            raise ValueError("t_end must be finite and cover at least one step")
+            raise ModelInputError("t_end must be finite and cover at least one step")
         steps = self.t_end / self.dt
         if not steps < math.inf:
-            raise ValueError("t_end / dt must be a finite number of steps")
+            raise ModelInputError("t_end / dt must be a finite number of steps")
         if abs(steps - round(steps)) > STEP_COUNT_SLACK * steps:
-            raise ValueError(f"t_end = {self.t_end:g} is not a whole number of "
-                             f"steps of dt = {self.dt:g} (t_end / dt = {steps:.12g})")
+            raise ModelInputError(f"t_end = {self.t_end:g} is not a whole number of "
+                                  f"steps of dt = {self.dt:g} (t_end / dt = {steps:.12g})")
         if int(self.record_every) < 1:
-            raise ValueError("record_every must be a positive integer")
+            raise ModelInputError("record_every must be a positive integer")
 
 
 def _block(k: int) -> property:
@@ -182,15 +182,13 @@ def simulate(
         mul(rate, stage, flows)
         sub(pair, flows, k)
 
-    # row 0: the initial state, checked as every later row is
+    # row 0: the initial state, already on the simplex by the check above
     table[0, 0] = 0.0
     table[0, 1:1 + n] = y
     table[0, 1 + n:1 + 2 * n] = z
     state, u, uy, uz, ux = views(table[0, 1:])
     sub(one, uy, ux)
     sub(ux, uz, ux)
-    if not lowest(state) >= -SIMPLEX_VIOLATION_TOL:
-        raise SimplexViolationError("state left the simplex at t = 0; reduce dt")
     recorded = 1
     for step in range(1, n_steps + 1):
         # at u the stage-one factor (1 - y) - z is the x of u's row

@@ -23,6 +23,7 @@ from .errors import (
     EpsilonStarNotFoundError,
     NoConvergenceError,
     OutOfCapError,
+    check_tol,
 )
 from .model import ModelInstance
 from .spectral import SpectralResult, reproduction_number
@@ -100,8 +101,9 @@ def iterate_phi(
 
     Returns the final iterate and the full iterate log. Raises
     NoConvergenceError when PHI_MAX_ITER applications of the map still leave
-    steps above tol.
+    steps above tol, and ModelInputError when tol is not positive and finite.
     """
+    check_tol(tol)
     xi = np.array(xi0, dtype=float)
     iterates = [xi.copy()]
     for _ in range(PHI_MAX_ITER):
@@ -149,8 +151,10 @@ def solve_endemic(
     stationarity: z = alpha * y, x = 1 - y - z.
 
     Returns NoEndemic when R0 <= 1 + R0_TOL. The eigensolve can be skipped
-    by passing a precomputed SpectralResult for model.M.
+    by passing a precomputed SpectralResult for model.M. Raises
+    ModelInputError when tol is not positive and finite, whatever R0 is.
     """
+    check_tol(tol)
     if spectral is None:
         r0, spectral = reproduction_number(model)
     else:

@@ -7,17 +7,28 @@ eigensolver breakdown) derive from NumericalError. The command line maps
 the first family to exit code 1 and the second to exit code 2.
 """
 
+import math
+
 
 class NetsirsError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ModelInputError(NetsirsError):
-    """Invalid input data or arguments."""
+class ModelInputError(NetsirsError, ValueError):
+    """Invalid input data or arguments. Also a ValueError, the type Python
+    gives a bad argument value."""
 
 
 class NumericalError(NetsirsError):
     """A numerical procedure failed to deliver a trustworthy result."""
+
+
+def check_tol(tol: float) -> None:
+    """Raise ModelInputError unless the solver tolerance tol is positive
+    and finite; a NaN tolerance would silently pass or never pass every
+    convergence test it meets."""
+    if not 0.0 < tol < math.inf:
+        raise ModelInputError(f"tol must be positive and finite, got {tol}")
 
 
 # --- input side ---------------------------------------------------------

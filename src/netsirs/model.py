@@ -135,6 +135,9 @@ def validate_model(
     ReducibleError
         The support digraph is not strongly connected, or n == 1 with
         W[0, 0] == 0.
+    ModelInputError
+        Some entry is not finite, or M = W / gamma or alpha = gamma / delta
+        overflows. A finite alpha keeps ybar = 1 / (1 + alpha) positive.
     """
     W = np.array(W, dtype=float)
     gamma = np.array(gamma, dtype=float)
@@ -162,9 +165,12 @@ def validate_model(
     elif not check_irreducible(W):
         raise ReducibleError("the support digraph of W is not strongly connected")
 
-    M = W / gamma[:, None]
-    alpha = gamma / delta
+    with np.errstate(over="ignore"):
+        M = W / gamma[:, None]
+        alpha = gamma / delta
     ybar = 1.0 / (1.0 + alpha)
+    if not (np.isfinite(M).all() and np.isfinite(alpha).all()):
+        raise ModelInputError("W / gamma and gamma / delta must be finite")
     for arr in (W, gamma, delta, M, alpha, ybar):
         arr.setflags(write=False)
     return ModelInstance(W=W, gamma=gamma, delta=delta, M=M, alpha=alpha, ybar=ybar, name=name)

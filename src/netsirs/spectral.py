@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonPositiveVectorError, ReducibleError
+from .errors import NoConvergenceError, NonPositiveVectorError, ReducibleError, check_tol
 from .model import ModelInstance, check_irreducible
 
 # most power sweeps one side of the Perron pair may take
@@ -66,6 +66,7 @@ def _power_sweeps(A: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
 
 
 def _perron(M: np.ndarray, tol: float) -> SpectralResult:
+    check_tol(tol)
     n = M.shape[0]
     if n == 1:
         one = np.ones(1)
@@ -92,7 +93,8 @@ def dominant_eigen(M: np.ndarray, tol: float = 1e-10) -> SpectralResult:
     max_i (Ax)_i/x_i - min_i (Ax)_i/x_i closes to tol; the eigenvalue is
     then reported as the ratio v_left' M v_right / v_left' v_right, which
     the bracket pins to the same accuracy. Raises ReducibleError when
-    the support of M is not strongly connected.
+    the support of M is not strongly connected, and ModelInputError when
+    tol is not positive and finite.
     """
     M = np.asarray(M, dtype=float)
     if not check_irreducible(M):
@@ -105,6 +107,7 @@ def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float
 
     A ModelInstance comes only from validate_model, which has already
     proved the support strongly connected, so the check is not repeated.
+    Raises ModelInputError when tol is not positive and finite.
     """
     res = _perron(model.M, tol)
     return res.lam, res

@@ -30,10 +30,12 @@ from .dynamics import residual
 from .errors import (
     EigenFailureError,
     InvalidAtBoundaryError,
+    ModelInputError,
     NoConvergenceError,
     NonPositiveEquilibriumError,
     NotEquilibriumError,
     SingularShiftError,
+    check_tol,
 )
 from .model import FullState, ModelInstance
 from .spectral import SpectralResult, reproduction_number
@@ -161,8 +163,10 @@ def jacobian_endemic(
     """Reduced Jacobian at a stationary point (y_star, z_star).
 
     Raises NotEquilibriumError when the stationarity residual exceeds
-    100 * tol, with tol the tolerance the point was solved to.
+    100 * tol, with tol the tolerance the point was solved to, and
+    ModelInputError when tol is not positive and finite.
     """
+    check_tol(tol)
     y = np.asarray(y_star, dtype=float)
     z = np.asarray(z_star, dtype=float)
     defect = residual(model, y, z)
@@ -292,7 +296,7 @@ def gershgorin_certificate(
     for lam in lambda_samples:
         lam = complex(lam)
         if lam.real <= -eta:
-            raise ValueError(f"sample {lam} lies outside the half-plane Re > {-eta:.6g}")
+            raise ModelInputError(f"sample {lam} lies outside the half-plane Re > {-eta:.6g}")
         shifts = _pole_shifts(model, lam)
         # H_kk = (x*_k W_kk - (wy + gamma + lam + gamma wy / shifts)_k) y*_k
         h = (own - (base + lam + inflow / shifts)) * y
@@ -318,22 +322,21 @@ def endemic_certificate(
     model: ModelInstance,
     y_star: np.ndarray,
     z_star: np.ndarray,
-    lambda_samples: list[complex] | None = None,
     seed: int = 0,
     tol: float = 1e-12,
 ) -> StabilityCertificate:
     """Assemble the two-route certificate at an endemic profile.
 
-    Stable requires a negative abscissa and every disk sample passing;
-    a positive abscissa alone is definitive for Unstable; anything else
-    is Inconclusive.
+    The disk check runs on default_lambda_samples(eta, seed). Stable
+    requires a negative abscissa and every disk sample passing; a
+    positive abscissa alone is definitive for Unstable; anything else is
+    Inconclusive. Raises ModelInputError when tol is not positive and
+    finite.
     """
     y = np.asarray(y_star, dtype=float)
     eta = eta_bound(model, y)
     abscissa = spectral_abscissa(jacobian_endemic(model, y, z_star, tol=tol))
-    if lambda_samples is None:
-        lambda_samples = default_lambda_samples(eta, seed=seed)
-    samples = gershgorin_certificate(model, y, lambda_samples)
+    samples = gershgorin_certificate(model, y, default_lambda_samples(eta, seed=seed))
     if abscissa < 0.0 and all(s.all_disks_left for s in samples):
         verdict = STABLE
     elif abscissa > 0.0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equilibrium import EndemicEquilibrium, solve_endemic
-from .errors import ModelInputError, NetsirsError
+from .errors import ModelInputError, NetsirsError, check_tol
 from .model import ModelInstance, validate_model
 from .spectral import reproduction_number
 from .stability import dfe_abscissa, jacobian_endemic, spectral_abscissa
@@ -39,8 +39,9 @@ def run_sweep(
     """Rescale W by each s on a uniform grid and re-solve each row.
 
     Returns the rows in grid order plus the number of rows that failed
-    and were recorded as NaN, each with its error; a non-finite scale
-    bound raises ModelInputError first. The Perron pair of
+    and were recorded as NaN, each with its error. steps below 1, a
+    non-finite scale bound or a tol that is not positive and finite raises
+    ModelInputError before the first row. The Perron pair of
     the model is solved once: rho(sM) = s rho(M) and the eigenvectors do
     not move, so every row reuses it scaled by s. An error of that one
     solve is not a row failure and propagates to the caller. The DFE
@@ -48,9 +49,10 @@ def run_sweep(
     endemic abscissa of a supercritical row takes a dense one.
     """
     if steps < 1:
-        raise ValueError("steps must be at least 1")
+        raise ModelInputError(f"steps must be at least 1, got {steps}")
     if not np.all(np.isfinite((scale_min, scale_max))):
         raise ModelInputError(f"scale bounds must be finite, got {scale_min} and {scale_max}")
+    check_tol(tol)
     _, base = reproduction_number(model)
     rows: list[SweepRow] = []
     failures = 0

@@ -21,6 +21,15 @@ REF5_DELTA = [0.3, 0.4, 0.2, 0.1, 0.6]
 
 REF5_R0 = 8.743346228  # locked by the characteristic-polynomial oracle
 
+# (W, gamma, delta) with finite entries whose derived arrays are not:
+# M = W / gamma overflows in the first two, alpha = gamma / delta in the
+# third, where ybar = 1 / (1 + alpha) would be 0
+OVERFLOW_MODELS = (
+    ([[0.0, 1e308], [1e308, 0.0]], [0.5, 0.5], [1.0, 1.0]),
+    ([[0.0, 1.0], [1.0, 0.0]], [1e-320, 1.0], [1.0, 1.0]),
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], [1e-320, 1.0]),
+)
+
 
 def ref5() -> ModelInstance:
     return validate_model(REF5_W, REF5_GAMMA, REF5_DELTA, name="ref5")

@@ -20,6 +20,8 @@ from netsirs import (
     IntegratorConfig,
     ModelInputError,
     SWEEP_HEADER,
+    endemic_certificate,
+    iterate_phi,
     jacobian_dfe,
     jacobian_endemic,
     load_initial,
@@ -74,7 +76,8 @@ def _counting(fn):
 
 
 def _cli(*argv, env=None):
-    full_env = dict(os.environ)
+    # numpy warnings fail the command as they fail in-process tests
+    full_env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -328,6 +331,13 @@ def test_cli_rejects_invalid_model(tmp_path):
     res = _cli("r0", "--model", str(path))
     assert res.returncode == 1
     assert "error: ModelInputError" in res.stderr
+    for W, gamma, delta in helpers.OVERFLOW_MODELS:
+        path.write_text(json.dumps({"n": 2, "W": W, "gamma": gamma, "delta": delta}))
+        for command in ("r0", "equilibrium"):
+            res = _cli(command, "--model", str(path))
+            assert res.returncode == 1
+            assert res.stderr.startswith("error: ModelInputError: ")
+            assert res.stderr.count("\n") == 1
 
 
 # each subcommand that takes --tol, with the arguments it needs besides
@@ -350,20 +360,69 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, command, tol):
     assert netsirs.cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: ModelInputError: --tol must be positive and finite, got {float(tol)}\n"
+    assert captured.err == f"error: ModelInputError: tol must be positive and finite, got {float(tol)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_library_rejects_bad_tol(tol):
+    m = helpers.ref5()
+    solved = solve_endemic(m)
+    y, z = solved.y_star, solved.z_star
+    calls = [
+        lambda: reproduction_number(m, tol=tol),
+        lambda: solve_endemic(m, tol=tol),
+        lambda: iterate_phi(y, m.M, m.alpha, tol=tol),
+        lambda: jacobian_endemic(m, y, z, tol=tol),
+        lambda: endemic_certificate(m, y, z, tol=tol),
+        lambda: run_sweep(m, 0.5, 1.5, 3, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ModelInputError, match="^tol must be positive and finite"):
+            call()
 
 
 def test_cli_simulate_has_no_tol_flag(tmp_path, capsys):
-    # simulate has no solver tolerance, so argparse rejects the flag
-    with pytest.raises(SystemExit) as exit_:
-        netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "1", "--t-end", "0.1",
-                          "--tol", "1e-3", "--out", str(tmp_path / "run.csv")])
-    assert exit_.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: ")
-    assert "unrecognized arguments: --tol 1e-3" in err
+    # simulate has no solver tolerance, so the parser rejects the flag
+    assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "1", "--t-end", "0.1",
+                             "--tol", "1e-3", "--out", str(tmp_path / "run.csv")]) == 1
+    assert capsys.readouterr().err == "error: ModelInputError: unrecognized arguments: --tol 1e-3\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# argv without --out, and the start of the message main reports for it;
+# the parser's own errors and the library's checks leave the same way
+_BAD_INPUT = {
+    "unknown flag": (["r0", "--model", FIVE_NODE, "--bogus", "1"],
+                     "unrecognized arguments: --bogus 1"),
+    "missing model": (["sweep", "--scale-min", "0.5", "--scale-max", "1.5", "--steps", "3"],
+                      "the following arguments are required: --model"),
+    "steps abc": (["sweep", "--model", FIVE_NODE, "--scale-min", "0.5", "--scale-max", "1.5",
+                   "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+    "scale-min -inf": (["sweep", "--model", FIVE_NODE, "--scale-min", "-inf", "--scale-max", "1.5",
+                        "--steps", "3"], "scale bounds must be finite, got -inf"),
+    "dt -inf": (["simulate", "--model", FIVE_NODE, "--random", "1", "--dt", "-inf"],
+                "dt must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUT))
+def test_cli_bad_input_exits_one(tmp_path, capsys, case):
+    argv, message = _BAD_INPUT[case]
+    assert netsirs.cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ModelInputError: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_reads_negative_float_as_value(tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    argv = ["sweep", "--model", FIVE_NODE, "--scale-max", "1.5", "--steps", "4"]
+    assert netsirs.cli.main([*argv, "--scale-min", "-1e-3", "--out", str(spaced)]) == 0
+    assert netsirs.cli.main([*argv, "--scale-min=-1e-3", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
 
 
 def test_cli_simulate_rejects_negative_random(tmp_path, capsys):

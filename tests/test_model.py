@@ -58,6 +58,9 @@ def test_validate_rejects_nonfinite_entries():
         validate_model([[np.nan, 1.0], [1.0, 0.0]], [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ModelInputError):
         validate_model([[0.0, 1.0], [1.0, 0.0]], [np.inf, 1.0], [1.0, 1.0])
+    for W, gamma, delta in helpers.OVERFLOW_MODELS:
+        with pytest.raises(ModelInputError):
+            validate_model(W, gamma, delta)
 
 
 def test_validate_rejects_shape_mismatch():
