@@ -40,7 +40,6 @@ from .model import (
 )
 from .spectral import (
     SpectralResult,
-    collatz_wielandt_bounds,
     dominant_eigen,
     reproduction_number,
 )

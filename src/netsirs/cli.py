@@ -9,6 +9,7 @@ numerical failures. Either error leaves as one line on stderr,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -85,7 +86,14 @@ def _suffixed(path: str, index: int) -> str:
     return f"{base}_{index:03d}{ext or '.csv'}"
 
 
+def _check_seed(seed: int) -> None:
+    # judged here, before any work, since numpy's own message names no flag
+    if seed < 0:
+        raise ModelInputError(f"--seed must be at least 0, got {seed}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     model = load_model(args.model)
     if args.random < 0:
         raise ModelInputError(f"--random must be at least 0, got {args.random}")
@@ -109,6 +117,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     model = load_model(args.model)
     r0, spectral = reproduction_number(model)
     dfe = dfe_abscissa(model)
@@ -223,9 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use. parse_args leaves
+    it unchanged and returns a fresh Namespace on every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:
         # ModelInputError is a ValueError; OSError covers unreadable or

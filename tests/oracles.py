@@ -5,14 +5,17 @@ by boolean matrix powers instead of breadth-first sweeps, the dominant
 eigenvalue by bisection on a cofactor-expansion characteristic polynomial
 instead of power iteration, Jacobians by central differences, fixed points by an
 exhaustive grid scan polished with Newton steps, RK4 steps as plain
-array expressions instead of the preallocated in-place loop, and the
+array expressions instead of the preallocated in-place loop, the
 equilibrium bracket as two serial Phi sequences instead of one stacked
-pair.
+pair, and the Perron pair as two serial power loops instead of one
+two-sided loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from netsirs import NonPositiveVectorError
 
 
 def reachability_strongly_connected(W: np.ndarray) -> bool:
@@ -39,6 +42,49 @@ def cofactor_det(A: np.ndarray) -> float:
         minor = A[1:][:, cols[:j] + cols[j + 1 :]]
         total += ((-1.0) ** j) * A[0, j] * cofactor_det(minor)
     return total
+
+
+def collatz_wielandt_bounds(M: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Bracket the spectral radius: min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i.
+
+    Valid for any strictly positive x; raises NonPositiveVectorError otherwise.
+    """
+    M = np.asarray(M, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise NonPositiveVectorError("the test vector must be strictly positive")
+    ratios = (M @ x) / x
+    return float(ratios.min()), float(ratios.max())
+
+
+def perron_serial(M: np.ndarray, tol: float = 1e-10):
+    """The Perron pair as two serial power loops on A = M + I, the right
+    vector from A and then the left one from A^T, each with plain
+    expressions until its own Collatz-Wielandt bracket closes to tol.
+    A single node needs no sweep. Returns (lam, v_right, v_left,
+    (right sweeps, left sweeps), residual)."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    if n == 1:
+        return float(M[0, 0]), np.ones(1), np.ones(1), (0, 0), 0.0
+
+    def sweep(A):
+        x = np.full(n, 1.0 / n)
+        it = 1
+        while True:
+            w = A @ x
+            ratios = w / x
+            if float(ratios.max() - ratios.min()) <= tol:
+                return x / x.sum(), it
+            x = w / w.sum()
+            it += 1
+
+    A = M + np.eye(n)
+    v_right, it_right = sweep(A)
+    v_left, it_left = sweep(A.T)
+    lam = float(v_left @ (M @ v_right) / (v_left @ v_right))
+    residual = float(np.max(np.abs(M @ v_right - lam * v_right)))
+    return lam, v_right, v_left, (it_right, it_left), residual
 
 
 def char_poly_dominant_root(M: np.ndarray, tol: float = 1e-12) -> float:

@@ -425,6 +425,46 @@ def test_cli_reads_negative_float_as_value(tmp_path, capsys):
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["stability", "--seed", "-1"],
+                                  ["simulate", "--random", "2", "--seed", "-5"]])
+def test_cli_rejects_negative_seed_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    loads = _counting(load_model)
+    monkeypatch.setattr(netsirs.cli, "load_model", loads)
+    command, *flags = argv
+    out = tmp_path / "out"
+    assert netsirs.cli.main([command, "--model", FIVE_NODE, *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ModelInputError: --seed must be at least 0, got {flags[-1]}\n"
+    assert loads.calls == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """main keeps one parser per process; no value leaks from one call's
+    Namespace into the next, and the output is that of a fresh process."""
+    builds = _counting(netsirs.cli.build_parser)
+    monkeypatch.setattr(netsirs.cli, "build_parser", builds)
+    netsirs.cli._parser.cache_clear()
+    first, second = tmp_path / "A.json", tmp_path / "B.json"
+    assert netsirs.cli.main(["equilibrium", "--model", FIVE_NODE, "--out", str(first)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {first}\n")
+    assert netsirs.cli.main(["equilibrium", "--model", FIVE_NODE]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert sorted(tmp_path.iterdir()) == [first]
+    assert netsirs.cli.main(["stability", "--model", FIVE_NODE, "--bogus", "1"]) == 1
+    assert capsys.readouterr().err == "error: ModelInputError: unrecognized arguments: --bogus 1\n"
+    assert netsirs.cli.main(["stability", "--model", FIVE_NODE, "--out", str(second)]) == 0
+    assert builds.calls == 1
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    res = _cli("stability", "--model", FIVE_NODE, "--out", str(fresh / "B.json"))
+    assert res.returncode == 0
+    assert second.read_bytes() == (fresh / "B.json").read_bytes()
+    assert sorted(tmp_path.iterdir()) == [first, second, fresh]
+
+
 def test_cli_simulate_rejects_negative_random(tmp_path, capsys):
     assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "-3",
                              "--out", str(tmp_path / "run.csv")]) == 1

@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
+import netsirs.spectral
 import oracles
 from netsirs import (
+    ModelInputError,
+    NegativeEntryError,
+    NoConvergenceError,
     NonPositiveVectorError,
     ReducibleError,
-    collatz_wielandt_bounds,
     dominant_eigen,
     reproduction_number,
 )
+from oracles import collatz_wielandt_bounds
 
 
 def test_two_node_chain_eigenpair():
@@ -62,6 +67,58 @@ def test_reducible_matrix_rejected():
     M = np.array([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(ReducibleError):
         dominant_eigen(M)
+
+
+@pytest.mark.parametrize("M, error", [
+    ([[0.0, 1.0], [1.0, -5.0]], NegativeEntryError),
+    ([[0.0, np.inf], [1.0, 0.0]], ModelInputError),
+    ([[0.0, np.nan], [1.0, 0.0]], ModelInputError),
+    ([[-2.0]], NegativeEntryError),
+])
+def test_dominant_eigen_rejects_matrices_outside_its_contract(M, error):
+    # a negative entry used to give a negative "dominant" eigenvalue with a
+    # sign-changing vector, an infinite one a RuntimeWarning and garbage
+    with pytest.raises(error):
+        dominant_eigen(np.array(M))
+
+
+def _assert_equals_serial(res, M, tol=1e-10):
+    lam, v_right, v_left, sweeps, residual = oracles.perron_serial(M, tol)
+    assert np.array_equal(res.v_right, v_right)
+    assert np.array_equal(res.v_left, v_left)
+    assert res.iterations == max(sweeps)
+    assert res.lam == lam
+    assert res.residual == residual
+
+
+def test_perron_pair_equals_serial_loops_on_reference_models(ref5):
+    _assert_equals_serial(reproduction_number(ref5)[1], ref5.M)
+    two_cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
+    _assert_equals_serial(dominant_eigen(two_cycle), two_cycle)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(0.2, 6.0),
+       st.sampled_from([1e-6, 1e-10, 1e-12]))
+def test_perron_pair_equals_serial_loops(n, seed, r0, tol):
+    """The two-sided loop performs the operations of two serial power
+    loops, and a side whose bracket has closed keeps the vector of that
+    sweep, so every output is equal to the last bit."""
+    model = helpers.random_supercritical(np.random.default_rng(seed), n, r0)
+    _assert_equals_serial(reproduction_number(model, tol=tol)[1], model.M, tol)
+
+
+def test_perron_pair_stops_at_the_sweep_cap(ref5, monkeypatch):
+    # the loop fails exactly when the slower side needs more sweeps than
+    # the cap allows; the cap one below that lets the faster side close first
+    _, _, _, sweeps, _ = oracles.perron_serial(ref5.M)
+    assert sweeps[0] != sweeps[1]
+    for cap in (3, max(sweeps) - 1):
+        monkeypatch.setattr(netsirs.spectral, "MAX_SWEEPS", cap)
+        with pytest.raises(NoConvergenceError, match=f"bracket to 1e-10 in {cap} sweeps$"):
+            reproduction_number(ref5)
+    monkeypatch.setattr(netsirs.spectral, "MAX_SWEEPS", max(sweeps))
+    _assert_equals_serial(reproduction_number(ref5)[1], ref5.M)
 
 
 def test_reference_network_reproduction_number(ref5):

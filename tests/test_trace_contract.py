@@ -1,8 +1,9 @@
 """The benchmark's span tracer, perfbench/spans.py, wraps netsirs functions
 under the names netsirs.cli looks up and reads its counts from their
 arguments and results. These tests run it, unchanged, over the simulate,
-sweep and stability commands in-process, so that a signature change that
-would break a traced benchmark run fails here first."""
+sweep and stability commands and over one analyses task in-process, so
+that a signature change that would break a traced benchmark run fails
+here first."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import os
 from pathlib import Path
 
 import netsirs.cli
+from netsirs import load_model, reproduction_number
 
 ROOT = Path(__file__).resolve().parent.parent
 FIVE_NODE = str(ROOT / "models" / "five_node.json")
@@ -68,3 +70,31 @@ def test_trace_points_fit_the_cli(tmp_path, capsys):
     assert names.count("cli") == 1
     assert names.count("stability.certificate") == 1
     assert "dynamics" not in names
+
+
+def test_analyses_task_counts(tmp_path, capsys):
+    # the three calls of one analyses task: each solves the Perron pair once,
+    # and the traced sweeps are the ones the solver reports
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install(spans.trace_points())
+    try:
+        main = tracer.wrap("cli", netsirs.cli.main)
+        per_command = []
+        for argv in (["r0"], ["equilibrium", "--out", str(tmp_path / "eq.json")],
+                     ["stability", "--out", str(tmp_path / "stab.json")]):
+            assert main([argv[0], "--model", FIVE_NODE, *argv[1:]]) == 0
+            per_command.append(tracer.take())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    for command in per_command:
+        names = _names(command)
+        assert names.count("cli") == 1
+        assert names.count("spectral") == 1
+    summary = spans.summarize([span for command in per_command for span in command])
+    assert summary["cli.calls"] == 3
+    assert summary["spectral.calls"] == 3
+    sweeps = reproduction_number(load_model(FIVE_NODE))[1].iterations
+    assert summary["spectral.sweeps"] == 3 * sweeps
