@@ -20,22 +20,17 @@ from .errors import (
     NoConvergenceError,
     NonPositiveEquilibriumError,
     NonPositiveRateError,
-    NonPositiveVectorError,
     NotEquilibriumError,
     NumericalError,
     OutOfCapError,
-    OutOfSimplexError,
     ReducibleError,
     SimplexViolationError,
     SingularShiftError,
 )
 from .model import (
-    SIMPLEX_TOL,
     FullState,
     ModelInstance,
-    ReducedState,
     check_irreducible,
-    full_from_reduced,
     validate_model,
 )
 from .spectral import (
@@ -47,10 +42,7 @@ from .equilibrium import (
     R0_TOL,
     EndemicEquilibrium,
     NoEndemic,
-    PhiIterationLog,
     iterate_phi,
-    lower_bracket_start,
-    out_regular_equilibrium,
     phi,
     psi,
     reconstruct_full,

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: r0, equilibrium, simulate, stability, sweep. Exit codes:
-0 on success, 1 on input or validation errors (bad flags included), 2 on
-numerical failures. Either error leaves as one line on stderr,
-"error: <ErrorType>: <message>".
+0 on success, 1 on input or validation errors (bad flags and outputs too
+large to allocate included), 2 on numerical failures. Either error leaves
+as one line on stderr, "error: <ErrorType>: <message>".
 """
 
 from __future__ import annotations
@@ -243,9 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         # ModelInputError is a ValueError; OSError covers unreadable or
-        # unwritable files
+        # unwritable files, MemoryError an output too large to allocate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -38,15 +38,6 @@ PHI_MAX_ITER = 1_000_000
 
 
 @dataclass(frozen=True)
-class PhiIterationLog:
-    """Iterates of the fixed-point map, including the start."""
-
-    iterates: list[np.ndarray]
-    converged: bool
-    final_gap: float
-
-
-@dataclass(frozen=True)
 class EndemicEquilibrium:
     """Strictly positive stationary profile with solver diagnostics.
 
@@ -96,29 +87,28 @@ def iterate_phi(
     M: np.ndarray,
     alpha: np.ndarray,
     tol: float = 1e-12,
-) -> tuple[np.ndarray, PhiIterationLog]:
+) -> tuple[np.ndarray, int]:
     """Iterate Phi from xi0 until the step size drops to tol.
 
-    Returns the final iterate and the full iterate log. Raises
-    NoConvergenceError when PHI_MAX_ITER applications of the map still leave
-    steps above tol, and ModelInputError when tol is not positive and finite.
+    Returns the final iterate and the number of steps taken; no iterate
+    history is kept. Raises NoConvergenceError when PHI_MAX_ITER
+    applications of the map still leave steps above tol, and
+    ModelInputError when tol is not positive and finite.
     """
     check_tol(tol)
     xi = np.array(xi0, dtype=float)
-    iterates = [xi.copy()]
-    for _ in range(PHI_MAX_ITER):
+    for step in range(1, PHI_MAX_ITER + 1):
         nxt = phi(xi, M, alpha)
         gap = float(np.max(np.abs(nxt - xi)))
-        iterates.append(nxt)
         xi = nxt
         if gap <= tol:
-            return xi, PhiIterationLog(iterates=iterates, converged=True, final_gap=gap)
+            return xi, step
     raise NoConvergenceError(
         f"fixed-point iteration still moved more than {tol} after {PHI_MAX_ITER} steps"
     )
 
 
-def lower_bracket_start(model: ModelInstance, v_right: np.ndarray) -> np.ndarray:
+def _lower_bracket_start(model: ModelInstance, v_right: np.ndarray) -> np.ndarray:
     """A strictly positive start xi with Phi(xi) >= xi componentwise.
 
     Scales the positive eigenvector down from min(ybar) / (2 max v) by
@@ -167,7 +157,7 @@ def solve_endemic(
     # psi(M @ y): np.matvec runs one gemv per row, which equals M @ y bit
     # for bit, and 1 + alpha is formed once.
     M = model.M
-    Y = np.stack([model.ybar, lower_bracket_start(model, spectral.v_right)])
+    Y = np.stack([model.ybar, _lower_bracket_start(model, spectral.v_right)])
     upper, lower = Y
     MY = np.empty_like(Y)
     denom = np.empty_like(Y)
@@ -221,28 +211,3 @@ def reconstruct_full(y_star: np.ndarray, model: ModelInstance) -> tuple[np.ndarr
     z = model.alpha * y
     x = 1.0 - y - z
     return x, z
-
-
-def out_regular_equilibrium(model: ModelInstance) -> np.ndarray | None:
-    """Closed-form y_star for homogeneous rates and constant row sums.
-
-    When every row of W sums to the same lam_W, gamma = gamma_bar * 1 and
-    delta = delta_bar * 1, the all-ones direction is invariant and the
-    positive equilibrium is the uniform vector
-
-        y_star = (delta_bar / (gamma_bar + delta_bar)) (1 - gamma_bar / lam_W) 1.
-
-    Returns None when the model is not of this form or not supercritical.
-    """
-    row_sums = model.W.sum(axis=1)
-    if float(np.ptp(row_sums)) > 1e-12:
-        return None
-    if float(np.ptp(model.gamma)) > 1e-12 or float(np.ptp(model.delta)) > 1e-12:
-        return None
-    lam_w = float(row_sums[0])
-    gamma_bar = float(model.gamma[0])
-    delta_bar = float(model.delta[0])
-    if lam_w / gamma_bar <= 1.0:
-        return None
-    level = (delta_bar / (gamma_bar + delta_bar)) * (1.0 - gamma_bar / lam_w)
-    return np.full(model.n, level)

@@ -50,16 +50,8 @@ class ReducibleError(ModelInputError):
     """The support digraph of the interaction matrix is not strongly connected."""
 
 
-class OutOfSimplexError(ModelInputError):
-    """A state vector leaves the unit simplex beyond tolerance."""
-
-
 class InvalidInitialError(ModelInputError):
     """An initial condition lies outside the admissible state space."""
-
-
-class NonPositiveVectorError(ModelInputError):
-    """A strictly positive vector was required."""
 
 
 class OutOfCapError(ModelInputError):

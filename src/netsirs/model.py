@@ -8,8 +8,7 @@ able to travel between any two populations, so the support digraph of W
 (an edge i -> j wherever W[i, j] > 0) has to be strongly connected.
 
 Each population splits into susceptible, infected and recovered fractions
-(x_i, y_i, z_i) that sum to one, so the pair (y, z) determines the full
-state. FullState and ReducedState are thin containers for the two views.
+(x_i, y_i, z_i) that sum to one; FullState holds all three.
 """
 
 from __future__ import annotations
@@ -23,12 +22,8 @@ from .errors import (
     ModelInputError,
     NegativeEntryError,
     NonPositiveRateError,
-    OutOfSimplexError,
     ReducibleError,
 )
-
-# absolute per-component slack accepted on simplex constraints for numeric states
-SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,14 +61,6 @@ class ModelInstance:
     @property
     def n(self) -> int:
         return self.W.shape[0]
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Infected and recovered fractions (y, z); susceptibles are implied."""
-
-    y: np.ndarray
-    z: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -174,20 +161,3 @@ def validate_model(
     for arr in (W, gamma, delta, M, alpha, ybar):
         arr.setflags(write=False)
     return ModelInstance(W=W, gamma=gamma, delta=delta, M=M, alpha=alpha, ybar=ybar, name=name)
-
-
-def full_from_reduced(state: ReducedState, tol: float = SIMPLEX_TOL) -> FullState:
-    """Recover the susceptible fractions as x = 1 - y - z.
-
-    Raises OutOfSimplexError when some component of y or z is below -tol or
-    some y_i + z_i exceeds 1 + tol.
-    """
-    y = np.asarray(state.y, dtype=float)
-    z = np.asarray(state.z, dtype=float)
-    if y.shape != z.shape:
-        raise DimensionMismatchError(f"y and z must match, got {y.shape} and {z.shape}")
-    if np.any(y < -tol) or np.any(z < -tol):
-        raise OutOfSimplexError("negative infected or recovered fraction")
-    if np.any(y + z > 1.0 + tol):
-        raise OutOfSimplexError("y + z exceeds 1, no room for susceptibles")
-    return FullState(x=1.0 - y - z, y=y, z=z)

@@ -38,7 +38,7 @@ from .errors import (
     check_tol,
 )
 from .model import FullState, ModelInstance
-from .spectral import SpectralResult, reproduction_number
+from .spectral import SpectralResult
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -350,16 +350,14 @@ def endemic_certificate(
 def lyapunov_value(
     model: ModelInstance,
     y: np.ndarray,
-    spectral: SpectralResult | None = None,
+    spectral: SpectralResult,
 ) -> float | np.ndarray:
     """Threshold Lyapunov value V = v_left' [gamma]^-1 y of one state y,
     or of each row of an (m, n) block, such as Trajectory.y.
 
-    v_left is the positive left eigenvector of M at unit 1-norm; pass a
-    precomputed SpectralResult to skip the eigensolve.
+    v_left is the positive left eigenvector of M at unit 1-norm, taken
+    from spectral, the SpectralResult of model.M.
     """
-    if spectral is None:
-        spectral = reproduction_number(model)[1]
     return np.vecdot(np.asarray(y, dtype=float), spectral.v_left / model.gamma)
 
 
@@ -367,16 +365,15 @@ def lyapunov_derivative(
     model: ModelInstance,
     y: np.ndarray,
     z: np.ndarray,
-    spectral: SpectralResult | None = None,
+    spectral: SpectralResult,
 ) -> float:
     """Along-trajectory derivative of the threshold Lyapunov value,
 
         Vdot = (R0 - 1) v_left' y - v_left' [gamma]^-1 [y + z] W y,
 
-    which is nonpositive whenever R0 <= 1.
+    which is nonpositive whenever R0 <= 1; R0 and v_left come from
+    spectral, the SpectralResult of model.M.
     """
-    if spectral is None:
-        spectral = reproduction_number(model)[1]
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     drive = (spectral.lam - 1.0) * float(spectral.v_left @ y)

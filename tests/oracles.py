@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from netsirs import NonPositiveVectorError
-
 
 def reachability_strongly_connected(W: np.ndarray) -> bool:
     """Strong connectivity by transitive closure with boolean powers."""
@@ -47,12 +45,12 @@ def cofactor_det(A: np.ndarray) -> float:
 def collatz_wielandt_bounds(M: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """Bracket the spectral radius: min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i.
 
-    Valid for any strictly positive x; raises NonPositiveVectorError otherwise.
+    Valid for any strictly positive x; raises ValueError otherwise.
     """
     M = np.asarray(M, dtype=float)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
-        raise NonPositiveVectorError("the test vector must be strictly positive")
+        raise ValueError("the test vector must be strictly positive")
     ratios = (M @ x) / x
     return float(ratios.min()), float(ratios.max())
 

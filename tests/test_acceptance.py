@@ -16,12 +16,11 @@ import helpers
 import oracles
 from netsirs import (
     EndemicEquilibrium,
+    FullState,
     IntegratorConfig,
-    ReducedState,
     default_lambda_samples,
     dominant_eigen,
     eta_bound,
-    full_from_reduced,
     gershgorin_certificate,
     iterate_phi,
     jacobian_endemic,
@@ -252,7 +251,7 @@ def test_acceptance_10_rank_one_global_lyapunov():
     model, a, b, gamma_bar = helpers.rank_one_model(np.random.default_rng(7), 4,
                                                     r0_target=3.0)
     eq = solve_endemic(model)
-    eq_state = full_from_reduced(ReducedState(y=eq.y_star, z=eq.z_star))
+    eq_state = FullState(x=eq.x_star, y=eq.y_star, z=eq.z_star)
     cfg = IntegratorConfig(dt=0.01, t_end=500.0, record_every=10)
     worst_step, worst_final = -np.inf, 0.0
     for y0, z0 in sample_initial_states(4, 10, np.random.default_rng(11)):

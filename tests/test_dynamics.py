@@ -194,11 +194,12 @@ def test_lyapunov_trace_matches_pointwise(out_regular3):
     sub = helpers.out_regular(n=3, row_sum=0.8)
     cfg = IntegratorConfig(dt=0.01, t_end=5.0, record_every=10)
     traj = simulate(sub, np.array([0.2, 0.1, 0.0]), np.zeros(3), cfg)
-    trace = lyapunov_value(sub, traj.y)
+    spectral = reproduction_number(sub)[1]
+    trace = lyapunov_value(sub, traj.y, spectral)
     assert trace is not None
     assert trace.shape == traj.times.shape
     for k in range(len(traj)):
-        v = lyapunov_value(sub, traj.y[k])
+        v = lyapunov_value(sub, traj.y[k], spectral)
         assert trace[k] == pytest.approx(v, abs=1e-12)
     # subcritical: the trace decays monotonically
     assert np.all(np.diff(trace) <= 1e-12)

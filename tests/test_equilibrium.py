@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,6 @@ from netsirs import (
     OutOfCapError,
     dominant_eigen,
     iterate_phi,
-    lower_bracket_start,
-    out_regular_equilibrium,
     phi,
     psi,
     reconstruct_full,
@@ -23,6 +23,7 @@ from netsirs import (
     solve_endemic,
     validate_model,
 )
+from netsirs.equilibrium import _lower_bracket_start
 
 
 def test_psi_hand_values():
@@ -62,18 +63,32 @@ def test_phi_bounded_by_linearization(rng):
 def test_iterate_phi_subcritical_goes_to_zero():
     M = np.array([[0.0, 0.5], [0.5, 0.0]])
     alpha = np.array([1.0, 1.0])
-    limit, log = iterate_phi(np.array([0.3, 0.4]), M, alpha, tol=1e-14)
+    limit, _ = iterate_phi(np.array([0.3, 0.4]), M, alpha, tol=1e-14)
     assert np.max(np.abs(limit)) <= 1e-12
-    assert log.converged
-    assert log.final_gap <= 1e-14
+    assert np.max(np.abs(phi(limit, M, alpha) - limit)) <= 1e-14
 
 
 def test_iterate_phi_from_cap_is_monotone(ref5):
-    limit, log = iterate_phi(ref5.ybar, ref5.M, ref5.alpha)
-    for prev, nxt in zip(log.iterates, log.iterates[1:]):
+    limit, steps = iterate_phi(ref5.ybar, ref5.M, ref5.alpha)
+    prev = ref5.ybar
+    for _ in range(steps):
+        nxt = phi(prev, ref5.M, ref5.alpha)
         assert np.all(nxt <= prev + 1e-15)
+        prev = nxt
+    assert np.array_equal(prev, limit)
     assert np.all(limit > 0.0)
-    assert log.iterates[0] is not log.iterates[1]
+
+
+def test_iterate_phi_keeps_no_history():
+    # about 13,700 steps of 1.6 kB iterates at n = 200: a kept history passes 20 MB
+    m = helpers.random_supercritical(np.random.default_rng(0), 200, 1.001)
+    tracemalloc.start()
+    try:
+        iterate_phi(m.ybar, m.M, m.alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_iterate_phi_raises_when_budget_too_small(out_regular3, monkeypatch):
@@ -84,7 +99,7 @@ def test_iterate_phi_raises_when_budget_too_small(out_regular3, monkeypatch):
 
 def test_lower_bracket_start_expands(ref5):
     spec = dominant_eigen(ref5.M)
-    xi = lower_bracket_start(ref5, spec.v_right)
+    xi = _lower_bracket_start(ref5, spec.v_right)
     assert np.all(xi > 0.0)
     assert np.all(phi(xi, ref5.M, ref5.alpha) >= xi)
     assert np.all(xi <= ref5.ybar)
@@ -114,7 +129,7 @@ def test_solve_endemic_respects_simplex(ref5):
 def test_solve_endemic_bracket_sequences_stay_ordered(ref5):
     spec = dominant_eigen(ref5.M)
     upper = ref5.ybar.copy()
-    lower = lower_bracket_start(ref5, spec.v_right)
+    lower = _lower_bracket_start(ref5, spec.v_right)
     for _ in range(200):
         up_next = phi(upper, ref5.M, ref5.alpha)
         lo_next = phi(lower, ref5.M, ref5.alpha)
@@ -163,22 +178,10 @@ def test_reconstruct_full_rejects_above_cap():
 
 def test_out_regular_closed_form_variants():
     m = helpers.out_regular(n=4, row_sum=2.0, gamma=1.0, delta=3.0)
-    ys = out_regular_equilibrium(m)
-    assert ys is not None
-    assert np.allclose(ys, 0.375)
+    ys = helpers.out_regular_y_star(row_sum=2.0, gamma=1.0, delta=3.0)
+    assert ys == pytest.approx(0.375)
     eq = solve_endemic(m)
     assert np.max(np.abs(eq.y_star - ys)) <= 1e-10
-
-
-def test_out_regular_closed_form_rejects_other_shapes(ref5, rng):
-    assert out_regular_equilibrium(ref5) is None
-    # heterogeneous curing rates disqualify even a regular graph
-    W = np.full((3, 3), 1.0)
-    m = validate_model(W, [1.0, 1.0, 2.0], [1.0, 1.0, 1.0])
-    assert out_regular_equilibrium(m) is None
-    # subcritical uniform network has no positive equilibrium
-    sub = helpers.out_regular(n=3, row_sum=0.5)
-    assert out_regular_equilibrium(sub) is None
 
 
 def test_monotone_response_to_contact_scaling(rng):
@@ -187,6 +190,27 @@ def test_monotone_response_to_contact_scaling(rng):
     scaled = validate_model(1.5 * m.W, m.gamma, m.delta)
     more = solve_endemic(scaled)
     assert np.all(more.y_star >= base.y_star - 1e-12)
+
+
+def _y_star(W: np.ndarray, gamma: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """y* of (W, gamma, delta), or zeros when only the origin is stationary."""
+    solved = solve_endemic(validate_model(W, gamma, delta))
+    return solved.y_star if isinstance(solved, EndemicEquilibrium) else np.zeros(len(gamma))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(1.05, 6.0))
+def test_y_star_monotone_in_contacts_recovery_and_immunity_loss(n, seed, r0):
+    """y* is nondecreasing in W and delta and nonincreasing in gamma."""
+    rng = np.random.default_rng(seed)
+    m = helpers.random_supercritical(rng, n, r0)
+    base = _y_star(m.W, m.gamma, m.delta)
+    more_contact = _y_star(m.W * rng.uniform(1.0, 2.0, (n, n)), m.gamma, m.delta)
+    faster_recovery = _y_star(m.W, m.gamma * rng.uniform(1.0, 2.0, n), m.delta)
+    faster_loss = _y_star(m.W, m.gamma, m.delta * rng.uniform(1.0, 2.0, n))
+    assert np.all(more_contact >= base - 1e-12)
+    assert np.all(faster_recovery <= base + 1e-12)
+    assert np.all(faster_loss >= base - 1e-12)
 
 
 @settings(deadline=None)

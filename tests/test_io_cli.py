@@ -390,19 +390,24 @@ def test_cli_simulate_has_no_tol_flag(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# argv without --out, and the start of the message main reports for it;
-# the parser's own errors and the library's checks leave the same way
+# argv without --out, and the start of the line main reports for it after
+# "error: "; the parser's own errors, the library's checks and numpy's
+# refusal of an impossible allocation leave the same way
 _BAD_INPUT = {
     "unknown flag": (["r0", "--model", FIVE_NODE, "--bogus", "1"],
-                     "unrecognized arguments: --bogus 1"),
+                     "ModelInputError: unrecognized arguments: --bogus 1"),
     "missing model": (["sweep", "--scale-min", "0.5", "--scale-max", "1.5", "--steps", "3"],
-                      "the following arguments are required: --model"),
+                      "ModelInputError: the following arguments are required: --model"),
     "steps abc": (["sweep", "--model", FIVE_NODE, "--scale-min", "0.5", "--scale-max", "1.5",
-                   "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+                   "--steps", "abc"], "ModelInputError: argument --steps: invalid int value: 'abc'"),
     "scale-min -inf": (["sweep", "--model", FIVE_NODE, "--scale-min", "-inf", "--scale-max", "1.5",
-                        "--steps", "3"], "scale bounds must be finite, got -inf"),
+                        "--steps", "3"], "ModelInputError: scale bounds must be finite, got -inf"),
     "dt -inf": (["simulate", "--model", FIVE_NODE, "--random", "1", "--dt", "-inf"],
-                "dt must be positive and finite"),
+                "ModelInputError: dt must be positive and finite"),
+    "simulate too many rows": (["simulate", "--model", FIVE_NODE, "--random", "1", "--dt", "1e-9",
+                                "--t-end", "1e6"], "MemoryError: Unable to allocate"),
+    "sweep too many steps": (["sweep", "--model", FIVE_NODE, "--scale-min", "0.1", "--scale-max",
+                              "1", "--steps", "1000000000000000"], "MemoryError: Unable to allocate"),
 }
 
 
@@ -412,7 +417,7 @@ def test_cli_bad_input_exits_one(tmp_path, capsys, case):
     assert netsirs.cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: ModelInputError: {message}")
+    assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
 

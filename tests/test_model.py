@@ -11,11 +11,8 @@ from netsirs import (
     ModelInputError,
     NegativeEntryError,
     NonPositiveRateError,
-    OutOfSimplexError,
-    ReducedState,
     ReducibleError,
     check_irreducible,
-    full_from_reduced,
     validate_model,
 )
 
@@ -151,25 +148,3 @@ def test_irreducible_on_cycle_with_one_edge_removed(cycle_and_cut):
     W[order[cut], order[(cut + 1) % n]] = 0.0
     assert not check_irreducible(W)
     assert not oracles.reachability_strongly_connected(W)
-
-
-
-def test_full_from_reduced_complements():
-    y = np.array([0.2, 0.1])
-    z = np.array([0.3, 0.5])
-    s = full_from_reduced(ReducedState(y=y, z=z))
-    assert np.allclose(s.x, [0.5, 0.4])
-    assert np.allclose(s.y, y)
-    assert np.allclose(s.z, z)
-
-
-def test_full_from_reduced_rejects_outside_simplex():
-    with pytest.raises(OutOfSimplexError):
-        full_from_reduced(ReducedState(y=np.array([0.7]), z=np.array([0.4])))
-    with pytest.raises(OutOfSimplexError):
-        full_from_reduced(ReducedState(y=np.array([-0.1]), z=np.array([0.2])))
-
-
-def test_full_from_reduced_tolerates_roundoff():
-    s = full_from_reduced(ReducedState(y=np.array([0.6 + 5e-10]), z=np.array([0.4])))
-    assert s.x[0] == pytest.approx(0.0, abs=1e-9)

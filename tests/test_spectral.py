@@ -11,7 +11,6 @@ from netsirs import (
     ModelInputError,
     NegativeEntryError,
     NoConvergenceError,
-    NonPositiveVectorError,
     ReducibleError,
     dominant_eigen,
     reproduction_number,
@@ -59,7 +58,7 @@ def test_collatz_wielandt_brackets():
 
 def test_collatz_wielandt_rejects_zero_component():
     M = np.array([[0.0, 2.0], [1.0, 0.0]])
-    with pytest.raises(NonPositiveVectorError):
+    with pytest.raises(ValueError):
         collatz_wielandt_bounds(M, np.array([1.0, 0.0]))
 
 

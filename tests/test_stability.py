@@ -19,7 +19,6 @@ from netsirs import (
     NoConvergenceError,
     NonPositiveEquilibriumError,
     NotEquilibriumError,
-    ReducedState,
     SingularShiftError,
     STABLE,
     UNSTABLE,
@@ -28,7 +27,6 @@ from netsirs import (
     dominant_eigen,
     endemic_certificate,
     eta_bound,
-    full_from_reduced,
     gershgorin_certificate,
     jacobian_dfe,
     jacobian_endemic,
@@ -408,19 +406,20 @@ def test_rank_one_lyapunov_hand_value():
 def test_rank_one_lyapunov_zero_only_at_equilibrium(rng):
     model, a, b, gamma_bar = helpers.rank_one_model(rng, 4, r0_target=3.0)
     eq = solve_endemic(model)
-    eq_state = full_from_reduced(ReducedState(y=eq.y_star, z=eq.z_star))
+    eq_state = FullState(x=eq.x_star, y=eq.y_star, z=eq.z_star)
     assert rank_one_lyapunov(a, b, gamma_bar, model.delta, eq_state, eq_state) == pytest.approx(0.0, abs=1e-14)
-    other = full_from_reduced(ReducedState(y=eq.y_star * 0.9, z=eq.z_star))
+    y = eq.y_star * 0.9
+    other = FullState(x=1.0 - y - eq.z_star, y=y, z=eq.z_star)
     assert rank_one_lyapunov(a, b, gamma_bar, model.delta, other, eq_state) > 0.0
     with pytest.raises(InvalidAtBoundaryError):
-        boundary = full_from_reduced(ReducedState(y=np.zeros(4), z=eq.z_star))
+        boundary = FullState(x=1.0 - eq.z_star, y=np.zeros(4), z=eq.z_star)
         rank_one_lyapunov(a, b, gamma_bar, model.delta, boundary, eq_state)
 
 
 def test_rank_one_lyapunov_decays_along_trajectory(rng):
     model, a, b, gamma_bar = helpers.rank_one_model(rng, 3, r0_target=2.5)
     eq = solve_endemic(model)
-    eq_state = full_from_reduced(ReducedState(y=eq.y_star, z=eq.z_star))
+    eq_state = FullState(x=eq.x_star, y=eq.y_star, z=eq.z_star)
     traj = simulate(model, np.array([0.2, 0.05, 0.1]), np.array([0.1, 0.1, 0.0]),
                     IntegratorConfig(dt=0.01, t_end=20.0, record_every=10))
     values = [
