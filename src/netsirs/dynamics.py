@@ -17,6 +17,7 @@ the model.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ class IntegratorConfig:
 
     dt must be positive, t_end at least one step long, both finite with a
     finite step count t_end / dt that is a whole number up to a relative
-    STEP_COUNT_SLACK, and record_every >= 1; ModelInputError otherwise.
+    STEP_COUNT_SLACK, and record_every an integer >= 1 (not a bool);
+    ModelInputError otherwise.
     """
 
     dt: float = 0.01
@@ -53,8 +55,9 @@ class IntegratorConfig:
         if abs(steps - round(steps)) > STEP_COUNT_SLACK * steps:
             raise ModelInputError(f"t_end = {self.t_end:g} is not a whole number of "
                                   f"steps of dt = {self.dt:g} (t_end / dt = {steps:.12g})")
-        if int(self.record_every) < 1:
-            raise ModelInputError("record_every must be a positive integer")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise ModelInputError(f"record_every must be a positive integer, got {every!r}")
 
 
 def _block(k: int) -> property:

@@ -1,10 +1,13 @@
-"""Dominant eigenpair of a nonnegative irreducible matrix.
+"""Perron roots of irreducible Metzler matrices.
 
 The reproduction number of a model is the spectral radius of its
-rate-normalized interaction matrix M. For irreducible nonnegative M the
-radius is a simple eigenvalue with strictly positive left and right
-eigenvectors, and for any positive x the ratios (Mx)_i / x_i bracket it.
-That bracket both certifies the result and stops the iteration.
+rate-normalized interaction matrix M, and the infection-free abscissa
+is the Perron root s(W - [gamma]). For an irreducible Metzler B the root
+s(B) is a simple real eigenvalue with strictly positive left and right
+eigenvectors, and for any positive x the Collatz-Wielandt ratios
+(Bx)_i / x_i bracket it. perron_bracket sharpens such an x by shifted
+inverse iteration; the bracket both certifies the root and stops the
+loop, and both roots go through it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .errors import (
 )
 from .model import ModelInstance, check_irreducible
 
-# most power sweeps one side of the Perron pair may take
-MAX_SWEEPS = 100_000
+# most shifted solves one perron_bracket call may take
+MAX_SOLVES = 50
 
 
 @dataclass(frozen=True)
@@ -32,8 +35,9 @@ class SpectralResult:
 
     lam is the dominant eigenvalue, v_right and v_left the corresponding
     strictly positive eigenvectors normalized to unit 1-norm, iterations
-    the number of power sweeps used, and residual the final value of
-    ||M v_right - lam v_right||_inf (at most the requested tolerance).
+    the number of shifted solves used, right plus left, and residual the
+    final value of ||M v_right - lam v_right||_inf (at most the requested
+    tolerance).
     """
 
     lam: float
@@ -43,68 +47,72 @@ class SpectralResult:
     residual: float
 
 
+def perron_bracket(
+    B: np.ndarray,
+    tol: float,
+    known: tuple[float, float] = (-np.inf, np.inf),
+) -> tuple[np.ndarray, float, float, int]:
+    """Perron root s(B) of an irreducible Metzler B, bracketed to tol.
+
+    Starting from x = 1, each step solves (sigma I - B) x' = x with
+    sigma = hi + max(0.01 (hi - lo), tol), where [lo, hi] is every
+    Collatz-Wielandt bracket so far intersected with known, a bracket the
+    caller already holds. sigma lies above s(B), so
+    (sigma I - B)^-1 is entrywise positive and every iterate is a valid
+    test vector; one that is not strictly positive in floating point, or
+    a singular solve, raises NoConvergenceError rather than being used.
+    The loop stops once the ratios of the current x lie within tol of
+    each other (a 1x1 B at once), and returns that x at unit 1-norm, its
+    ratio bracket (lower, upper) and the number of solves. It raises
+    NoConvergenceError after MAX_SOLVES solves.
+    """
+    eye = np.eye(B.shape[0])
+    x = np.ones(B.shape[0])
+    lo, hi = known
+    for solves in range(MAX_SOLVES + 1):
+        ratios = (B @ x) / x
+        lower, upper = float(ratios.min()), float(ratios.max())
+        if upper - lower <= tol:
+            return x / x.sum(), lower, upper, solves
+        if solves == MAX_SOLVES:
+            break
+        lo, hi = max(lo, lower), min(hi, upper)
+        try:
+            x = np.linalg.solve((hi + max(0.01 * (hi - lo), tol)) * eye - B, x)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"shifted solve failed: {exc}") from exc
+        if not np.minimum.reduce(x) > 0.0:
+            raise NoConvergenceError("shifted solve lost positivity; the Perron bracket is open")
+        x /= x.sum()
+    raise NoConvergenceError(
+        f"Perron bracket [{lower:.17g}, {upper:.17g}] did not close to {tol:.3g} in {MAX_SOLVES} solves"
+    )
+
+
 def _perron(M: np.ndarray, tol: float) -> SpectralResult:
     check_tol(tol)
-    n = M.shape[0]
-    if n == 1:
-        one = np.ones(1)
-        return SpectralResult(lam=float(M[0, 0]), v_right=one, v_left=one.copy(),
-                              iterations=0, residual=0.0)
-    # One two-sided power loop: row 0 of X sweeps A = M + I for the right
-    # vector, row 1 sweeps A^T for the left one, and A's positive diagonal
-    # keeps both positive. Each side stops on its own bracket; its row of X
-    # is then left as it was, and later sweeps run over the open row alone.
-    # Every row sees the operations of a one-vector loop, so the bits equal
-    # two serial loops.
-    A = M + np.eye(n)
-    X = np.full((2, n), 1.0 / n)
-    AX = np.empty((2, n))
-    ratios = np.empty((2, n))
-    sides = [(A, X[0], AX[0]), (A.T, X[1], AX[1])]
-    sweeps = [0, 0]
-    lo, hi = 0, 2  # the open sides are rows lo:hi
-    x, ax, r = X, AX, ratios
-    for it in range(1, MAX_SWEEPS + 1):
-        for B, x_k, ax_k in sides[lo:hi]:
-            np.dot(B, x_k, out=ax_k)
-        np.divide(ax, x, out=r)
-        gaps = np.maximum.reduce(r, axis=1) - np.minimum.reduce(r, axis=1)
-        closed = [gap <= tol for gap in gaps.tolist()]
-        if True in closed:
-            for k, done in enumerate(closed, start=lo):
-                if done:
-                    sweeps[k] = it
-            if all(closed):
-                break
-            lo, hi = (lo + 1, hi) if closed[0] else (lo, hi - 1)
-            x, ax, r = X[lo:hi], AX[lo:hi], ratios[lo:hi]
-        np.divide(ax, np.add.reduce(ax, axis=1, keepdims=True), out=x)
-    else:
-        raise NoConvergenceError(
-            f"power iteration did not close the eigenvalue bracket to {tol} in {MAX_SWEEPS} sweeps"
-        )
-    v_right = X[0] / X[0].sum()
-    v_left = X[1] / X[1].sum()
+    # the right bracket pins sigma for the left side, which then closes
+    # in one or two solves
+    v_right, lower, upper, right = perron_bracket(M, tol)
+    v_left, _, _, left = perron_bracket(M.T, tol, known=(lower, upper))
     lam = float(v_left @ (M @ v_right) / (v_left @ v_right))
     residual = float(np.max(np.abs(M @ v_right - lam * v_right)))
     return SpectralResult(lam=lam, v_right=v_right, v_left=v_left,
-                          iterations=max(sweeps), residual=residual)
+                          iterations=right + left, residual=residual)
 
 
 def dominant_eigen(M: np.ndarray, tol: float = 1e-10) -> SpectralResult:
     """Dominant eigenvalue and positive eigenvectors of an irreducible M >= 0.
 
-    Power iteration runs on M + I. The shift makes the iteration matrix
-    primitive even when the support digraph is periodic (a plain power
-    sweep on a two-cycle never settles), moves no eigenvector, and shifts
-    every eigenvalue by one. Sweeps stop once the bracket
-    max_i (Ax)_i/x_i - min_i (Ax)_i/x_i closes to tol; the eigenvalue is
-    then reported as the ratio v_left' M v_right / v_left' v_right, which
-    the bracket pins to the same accuracy. Before any sweep it raises
-    ModelInputError when an entry of M is not finite, NegativeEntryError
-    when one is negative, ReducibleError when the support of M is not
-    strongly connected, and ModelInputError when tol is not positive and
-    finite.
+    perron_bracket runs on M for v_right and then on M^T for v_left,
+    whose shift starts from the right bracket. Inverse iteration needs no
+    primitive matrix, so a periodic support (a two-cycle, a directed ring)
+    converges like any other. The eigenvalue is reported as the ratio
+    v_left' M v_right / v_left' v_right, which the brackets pin to the
+    same accuracy. Before any solve it raises ModelInputError when an
+    entry of M is not finite, NegativeEntryError when one is negative,
+    ReducibleError when the support of M is not strongly connected, and
+    ModelInputError when tol is not positive and finite.
     """
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():

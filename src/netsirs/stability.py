@@ -4,10 +4,10 @@ The infection-free state needs no eigensolver. Its Jacobian is block
 lower-triangular, so its spectrum is spec(W - [gamma]) joined with
 {-delta_i}. W - [gamma] is Metzler and irreducible: its abscissa is a
 simple real Perron root with a positive eigenvector, of the sign of
-R0 - 1. dfe_abscissa brackets that root from both sides with
-Collatz-Wielandt ratios of positive vectors and gives the verdict from
-that bracket, so the verdict is certified on both sides, not read off
-an unchecked eigensolve.
+R0 - 1. dfe_abscissa brackets that root from both sides with the
+Collatz-Wielandt ratios of spectral.perron_bracket, the loop that also
+gives R0, and reads the verdict off that bracket, so the verdict is
+certified on both sides, not read off an unchecked eigensolve.
 
 Two complementary routes certify local stability of the endemic
 equilibrium. The direct route computes the spectral abscissa of the
@@ -31,14 +31,13 @@ from .errors import (
     EigenFailureError,
     InvalidAtBoundaryError,
     ModelInputError,
-    NoConvergenceError,
     NonPositiveEquilibriumError,
     NotEquilibriumError,
     SingularShiftError,
     check_tol,
 )
 from .model import FullState, ModelInstance
-from .spectral import SpectralResult
+from .spectral import SpectralResult, perron_bracket
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -87,9 +86,9 @@ class DfeAbscissa:
 
     lower <= abscissa <= upper holds for the exact abscissa, up to the
     rounding of the ratios that give the bounds; iterations counts the
-    shifted solves that closed the bracket. The verdict rests
-    on the bracket alone: Stable when it lies left of 0, Unstable when it
-    lies right of 0, Inconclusive when it touches or straddles 0.
+    shifted solves of perron_bracket that closed the bracket. The verdict
+    rests on the bracket alone: Stable when it lies left of 0, Unstable
+    when it lies right of 0, Inconclusive when it touches or straddles 0.
     """
 
     abscissa: float
@@ -106,52 +105,28 @@ class DfeAbscissa:
         return INCONCLUSIVE
 
 
-# Relative width at which the DFE bracket counts as closed, and the most
-# shifted solves dfe_abscissa may take to close it.
+# Width, relative to the rate scale, at which the DFE bracket counts as closed
 DFE_TOL = 2e-14
-DFE_MAX_SOLVES = 50
 
 
 def dfe_abscissa(model: ModelInstance) -> DfeAbscissa:
     """Abscissa max(s(B), -min delta) of the infection-free Jacobian,
     B = W - [gamma], without an eigensolver.
 
-    For any x > 0 the ratios (Bx)_i / x_i bracket the Perron root s(B).
-    Starting from x = 1, each step solves (sigma I - B) x' = x with sigma
-    = hi + (hi - lo)/2 above the current bracket [lo, hi], hence above
-    s(B), where (sigma I - B)^-1 is entrywise positive: every iterate is
-    a valid test vector, and one that is not strictly positive in floating
-    point is rejected rather than used. The loop stops when hi < -min
-    delta, where the abscissa is exactly -min delta, or when hi - lo <=
-    DFE_TOL * max(|hi|, max gamma), returning the midpoint; the ratios carry
-    rounding of order eps * gamma_i, so the gap is measured on that scale.
-    Raises NoConvergenceError when neither happens within DFE_MAX_SOLVES
-    solves.
+    perron_bracket closes a Collatz-Wielandt bracket on s(B) to DFE_TOL
+    times the rate scale max(max gamma, |max_i (B 1)_i|), which bounds
+    |s(B)|: the ratios carry rounding of order eps times that scale, so
+    the width is measured on it. The result is the midpoint, raised to
+    -min delta when the bracket lies below it. Raises NoConvergenceError
+    when the bracket does not close (spectral.MAX_SOLVES solves).
     """
     B = model.W - np.diag(model.gamma)
     floor = -float(model.delta.min())
-    scale = float(model.gamma.max())
-    eye = np.eye(model.n)
-    x = np.ones(model.n)
-    for iterations in range(DFE_MAX_SOLVES + 1):
-        ratios = (B @ x) / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi < floor:
-            return DfeAbscissa(floor, floor, floor, iterations)
-        if hi - lo <= DFE_TOL * max(abs(hi), scale):
-            return DfeAbscissa(max(0.5 * (lo + hi), floor), max(lo, floor), hi, iterations)
-        if iterations == DFE_MAX_SOLVES:
-            break
-        try:
-            x = np.linalg.solve((hi + 0.5 * (hi - lo)) * eye - B, x)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"shifted solve failed: {exc}") from exc
-        if not np.minimum.reduce(x) > 0.0:
-            raise NoConvergenceError("shifted solve lost positivity; the DFE bracket is open")
-        x /= x.max()
-    raise NoConvergenceError(
-        f"DFE abscissa bracket [{lo:.6g}, {hi:.6g}] did not close to {DFE_TOL} in {DFE_MAX_SOLVES} solves"
-    )
+    scale = max(float(model.gamma.max()), abs(float(B.sum(axis=1).max())))
+    _, lo, hi, solves = perron_bracket(B, DFE_TOL * scale)
+    if hi < floor:
+        return DfeAbscissa(floor, floor, floor, solves)
+    return DfeAbscissa(max(0.5 * (lo + hi), floor), max(lo, floor), hi, solves)
 
 
 def jacobian_endemic(

@@ -78,6 +78,18 @@ def random_supercritical(
     return validate_model(W, gamma, delta)
 
 
+def weighted_ring(n: int) -> tuple[ModelInstance, np.ndarray]:
+    """Directed ring i -> i + 1 (mod n) drawn from default_rng(0): cycle
+    weights uniform in [0.5, 1.5], then gamma uniform in [0.2, 0.6], and
+    delta = 0.3. Returns the model and its cycle weights."""
+    rng = np.random.default_rng(0)
+    w = rng.uniform(0.5, 1.5, size=n)
+    gamma = rng.uniform(0.2, 0.6, size=n)
+    W = np.zeros((n, n))
+    W[np.arange(n), (np.arange(n) + 1) % n] = w
+    return validate_model(W, gamma, np.full(n, 0.3), name="ring"), w
+
+
 def rank_one_model(
     rng: np.random.Generator, n: int, r0_target: float
 ) -> tuple[ModelInstance, np.ndarray, np.ndarray, float]:

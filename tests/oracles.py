@@ -3,15 +3,17 @@
 Everything here deliberately avoids the code paths under test: reachability
 by boolean matrix powers instead of breadth-first sweeps, the dominant
 eigenvalue by bisection on a cofactor-expansion characteristic polynomial
-instead of power iteration, Jacobians by central differences, fixed points by an
-exhaustive grid scan polished with Newton steps, RK4 steps as plain
-array expressions instead of the preallocated in-place loop, the
-equilibrium bracket as two serial Phi sequences instead of one stacked
-pair, and the Perron pair as two serial power loops instead of one
-two-sided loop.
+or by plain power sweeps instead of shifted inverse iteration, the Perron
+roots of a directed ring from its closed-form characteristic equation,
+Jacobians by central differences, fixed points by an exhaustive grid scan
+polished with Newton steps, RK4 steps as plain array expressions instead
+of the preallocated in-place loop, and the equilibrium bracket as two
+serial Phi sequences instead of one stacked pair.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,9 +60,9 @@ def collatz_wielandt_bounds(M: np.ndarray, x: np.ndarray) -> tuple[float, float]
 def perron_serial(M: np.ndarray, tol: float = 1e-10):
     """The Perron pair as two serial power loops on A = M + I, the right
     vector from A and then the left one from A^T, each with plain
-    expressions until its own Collatz-Wielandt bracket closes to tol.
-    A single node needs no sweep. Returns (lam, v_right, v_left,
-    (right sweeps, left sweeps), residual)."""
+    expressions until its own Collatz-Wielandt bracket closes to tol, so
+    lam lies within tol of rho(M). A single node needs no sweep. Returns
+    (lam, v_right, v_left, (right sweeps, left sweeps), residual)."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if n == 1:
@@ -83,6 +85,30 @@ def perron_serial(M: np.ndarray, tol: float = 1e-10):
     lam = float(v_left @ (M @ v_right) / (v_left @ v_right))
     residual = float(np.max(np.abs(M @ v_right - lam * v_right)))
     return lam, v_right, v_left, (it_right, it_left), residual
+
+
+def ring_perron_roots(w: np.ndarray, gamma: np.ndarray) -> tuple[float, float]:
+    """(rho(M), s(W - [gamma])) of the directed ring W[i, i+1 mod n] = w_i.
+
+    Every eigenvalue of M = [gamma]^-1 W solves lam^n = prod_i w_i / gamma_i,
+    so rho(M) is the geometric mean of the w_i / gamma_i. Every eigenvalue
+    of W - [gamma] solves prod_i (lam + gamma_i) = prod_i w_i, and the real
+    root above -min gamma, where the log of the left side increases, is
+    s(W - [gamma]); bisection finds it to adjacent floats.
+    """
+    w = np.asarray(w, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    rho = math.exp(math.fsum(np.log(w / gamma)) / w.size)
+    target = math.fsum(np.log(w))
+    lo, hi = -float(gamma.min()), float(w.max())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return rho, mid
+        if math.fsum(np.log(mid + gamma)) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def char_poly_dominant_root(M: np.ndarray, tol: float = 1e-12) -> float:

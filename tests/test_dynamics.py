@@ -9,6 +9,7 @@ from netsirs import (
     EndemicEquilibrium,
     IntegratorConfig,
     InvalidInitialError,
+    ModelInputError,
     SimplexViolationError,
     Trajectory,
     lyapunov_value,
@@ -67,6 +68,17 @@ def test_config_rejects_bad_settings():
 def test_config_rejects_non_finite_step_count(dt, t_end):
     with pytest.raises(ValueError):
         IntegratorConfig(dt=dt, t_end=t_end)
+
+
+@pytest.mark.parametrize("every", [2.5, 2.0, True, False, "2", None, -1])
+def test_config_rejects_non_integer_record_every(every):
+    # int() used to truncate 2.5 to 2 and read True as 1
+    with pytest.raises(ModelInputError, match="record_every must be a positive integer"):
+        IntegratorConfig(dt=0.1, t_end=1.0, record_every=every)
+
+
+def test_config_accepts_numpy_integer_record_every():
+    assert IntegratorConfig(dt=0.1, t_end=1.0, record_every=np.int64(3)).record_every == 3
 
 
 def test_simulate_rejects_bad_initials(out_regular3):

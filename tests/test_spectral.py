@@ -81,43 +81,57 @@ def test_dominant_eigen_rejects_matrices_outside_its_contract(M, error):
         dominant_eigen(np.array(M))
 
 
-def _assert_equals_serial(res, M, tol=1e-10):
-    lam, v_right, v_left, sweeps, residual = oracles.perron_serial(M, tol)
-    assert np.array_equal(res.v_right, v_right)
-    assert np.array_equal(res.v_left, v_left)
-    assert res.iterations == max(sweeps)
-    assert res.lam == lam
-    assert res.residual == residual
+def _assert_matches_oracles(res, M, tol=1e-10):
+    """The pair agrees with two serial power loops (an independent
+    algorithm whose lam lies within tol of rho(M)) and, for small n, with
+    the characteristic polynomial; both vectors are positive at unit
+    1-norm and both eigen-residuals are at most tol."""
+    lam = oracles.perron_serial(M, tol)[0]
+    # rounding of the quotients, a few ulps of rho(M)
+    slack = tol + 1e-14 * lam
+    assert abs(res.lam - lam) <= slack
+    if M.shape[0] <= 6:
+        assert abs(res.lam - oracles.char_poly_dominant_root(M)) <= max(slack, 1e-12 * lam)
+    for v in (res.v_right, res.v_left):
+        assert np.all(v > 0.0)
+        assert v.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.residual <= tol
+    assert res.residual == np.max(np.abs(M @ res.v_right - res.lam * res.v_right))
+    assert np.max(np.abs(res.v_left @ M - res.lam * res.v_left)) <= tol
 
 
-def test_perron_pair_equals_serial_loops_on_reference_models(ref5):
-    _assert_equals_serial(reproduction_number(ref5)[1], ref5.M)
+def test_perron_pair_matches_oracles_on_reference_models(ref5):
+    _assert_matches_oracles(reproduction_number(ref5)[1], ref5.M)
     two_cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
-    _assert_equals_serial(dominant_eigen(two_cycle), two_cycle)
+    _assert_matches_oracles(dominant_eigen(two_cycle), two_cycle)
 
 
 @settings(deadline=None)
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(0.2, 6.0),
        st.sampled_from([1e-6, 1e-10, 1e-12]))
-def test_perron_pair_equals_serial_loops(n, seed, r0, tol):
-    """The two-sided loop performs the operations of two serial power
-    loops, and a side whose bracket has closed keeps the vector of that
-    sweep, so every output is equal to the last bit."""
+def test_perron_pair_matches_oracles(n, seed, r0, tol):
     model = helpers.random_supercritical(np.random.default_rng(seed), n, r0)
-    _assert_equals_serial(reproduction_number(model, tol=tol)[1], model.M, tol)
+    _assert_matches_oracles(reproduction_number(model, tol=tol)[1], model.M, tol)
 
 
-def test_perron_pair_stops_at_the_sweep_cap(ref5, monkeypatch):
-    # the loop fails exactly when the slower side needs more sweeps than
-    # the cap allows; the cap one below that lets the faster side close first
-    _, _, _, sweeps, _ = oracles.perron_serial(ref5.M)
-    assert sweeps[0] != sweeps[1]
-    for cap in (3, max(sweeps) - 1):
-        monkeypatch.setattr(netsirs.spectral, "MAX_SWEEPS", cap)
-        with pytest.raises(NoConvergenceError, match=f"bracket to 1e-10 in {cap} sweeps$"):
+def test_perron_pair_stops_at_the_solve_cap(ref5, monkeypatch):
+    # the right side of ref5 takes more solves than the left one, whose
+    # shift starts from the right bracket; the pair fails exactly when the
+    # cap is below the right side's count, with a message naming the cap
+    bracket = netsirs.spectral.perron_bracket
+    _, lower, upper, right = bracket(ref5.M, 1e-10)
+    left = bracket(ref5.M.T, 1e-10, known=(lower, upper))[3]
+    res = reproduction_number(ref5)[1]
+    assert 0 < left < right and res.iterations == right + left
+    for cap in (1, right - 1):
+        monkeypatch.setattr(netsirs.spectral, "MAX_SOLVES", cap)
+        with pytest.raises(NoConvergenceError, match=f"did not close to 1e-10 in {cap} solves$"):
             reproduction_number(ref5)
-    monkeypatch.setattr(netsirs.spectral, "MAX_SWEEPS", max(sweeps))
-    _assert_equals_serial(reproduction_number(ref5)[1], ref5.M)
+    monkeypatch.setattr(netsirs.spectral, "MAX_SOLVES", right)
+    capped = reproduction_number(ref5)[1]
+    assert np.array_equal(capped.v_right, res.v_right)
+    assert np.array_equal(capped.v_left, res.v_left)
+    assert capped.lam == res.lam
 
 
 def test_reference_network_reproduction_number(ref5):

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
+import netsirs.spectral
 import netsirs.stability
 import oracles
 from netsirs import (
@@ -34,6 +36,7 @@ from netsirs import (
     lyapunov_derivative,
     lyapunov_value,
     rank_one_lyapunov,
+    reproduction_number,
     rhs,
     schur_matrix,
     simulate,
@@ -358,11 +361,49 @@ def test_dfe_abscissa_at_threshold_is_inconclusive(monkeypatch):
 
 
 def test_dfe_abscissa_fails_loudly_when_bracket_stays_open(monkeypatch):
+    # this model's bracket takes more than 3 solves; the one Perron cap
+    # that also bounds R0 stops it
     m = helpers.random_supercritical(np.random.default_rng(3), 40, r0_target=1.001)
-    monkeypatch.setattr(netsirs.stability, "DFE_TOL", 0.0)
-    monkeypatch.setattr(netsirs.stability, "DFE_MAX_SOLVES", 3)
-    with pytest.raises(NoConvergenceError):
+    assert dfe_abscissa(m).iterations > 3
+    monkeypatch.setattr(netsirs.spectral, "MAX_SOLVES", 3)
+    with pytest.raises(NoConvergenceError, match="did not close to .* in 3 solves$"):
         dfe_abscissa(m)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_weighted_ring_perron_roots(n):
+    """On a directed ring every eigenvalue of M has modulus R0, so power
+    sweeps on M + I stall; both Perron roots still close, on the exact
+    values of the ring's characteristic equation."""
+    m, w = helpers.weighted_ring(n)
+    rho, s = oracles.ring_perron_roots(w, m.gamma)
+    r0, spectral = reproduction_number(m)
+    assert r0 == pytest.approx(rho, rel=1e-12)
+    assert spectral.residual <= 1e-10
+    res = dfe_abscissa(m) if n == 1000 else _check_dfe_route(m)
+    # the dense eigensolve of a 1000-node ring is itself off by about
+    # 1.5e-12 here, so the closed form is the reference
+    slack = 1e-14 * max(abs(s), float(m.gamma.max()))
+    assert res.lower - slack <= s <= res.upper + slack
+    assert res.abscissa == pytest.approx(s, rel=1e-13)
+    assert res.verdict == UNSTABLE
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(0.2, 5.0),
+       st.floats(1e-3, 1e3))
+@example(1, 0, 0.5, 1e3)
+@example(30, 1, 0.9999, 1.0)
+@example(30, 2, 1.0001, 1e-3)
+def test_dfe_verdict_follows_r0_and_r0_is_linear_in_w(n, seed, r0, scale):
+    """The infection-free state is stable below R0 = 1 and unstable above
+    it, the transcritical bifurcation of the paper, and R0(sW) = s R0(W)."""
+    m = helpers.random_supercritical(np.random.default_rng(seed), n, r0)
+    r0_m, _ = reproduction_number(m)
+    if abs(r0_m - 1.0) > 1e-6:
+        assert dfe_abscissa(m).verdict == (STABLE if r0_m < 1.0 else UNSTABLE)
+    scaled = validate_model(scale * m.W, m.gamma, m.delta)
+    assert reproduction_number(scaled)[0] == pytest.approx(scale * r0_m, rel=1e-12)
 
 
 def test_lyapunov_nonincreasing_subcritical(rng):
