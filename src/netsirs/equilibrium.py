@@ -11,6 +11,13 @@ above one there is exactly one more, strictly positive, and iterating Phi
 from the cap ybar walks down to it while iterating from a small positive
 multiple of the Perron vector walks up. solve_endemic runs both sequences
 and stops when the two-sided bracket closes.
+
+Near R0 = 1 the Phi steps contract at a rate that tends to 1, so once
+they fail to halve the bracket, at a rate too slow to close it within
+about n more steps, solve_endemic takes Newton-Fourier steps (Ortega &
+Rheinboldt 1970, section 13.3) on the convex map F(y) = y - Phi(y)
+instead. Each is certified in floating point before it replaces a bracket
+end: Phi(u) <= u above, Phi(l) >= l > 0 below.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EpsilonStarNotFoundError,
+    ModelInputError,
     NoConvergenceError,
     OutOfCapError,
     check_tol,
@@ -32,8 +41,8 @@ from .spectral import SpectralResult, reproduction_number
 # as threshold cases and reported as having no endemic equilibrium
 R0_TOL = 1e-9
 
-# most applications of Phi that iterate_phi, and each bracket sequence of
-# solve_endemic, may take
+# most applications of Phi that iterate_phi may take, and most iterations,
+# Phi or Newton-Fourier, of the bracket loop of solve_endemic
 PHI_MAX_ITER = 1_000_000
 
 
@@ -42,7 +51,8 @@ class EndemicEquilibrium:
     """Strictly positive stationary profile with solver diagnostics.
 
     residual is ||y_star - Phi(y_star)||_inf and bracket_gap the final
-    sup-norm distance between the upper and lower iterate sequences.
+    sup-norm distance between the upper and lower iterate sequences;
+    iterations counts bracket-loop iterations, Phi or Newton-Fourier.
     """
 
     y_star: np.ndarray
@@ -93,10 +103,16 @@ def iterate_phi(
     Returns the final iterate and the number of steps taken; no iterate
     history is kept. Raises NoConvergenceError when PHI_MAX_ITER
     applications of the map still leave steps above tol, and
-    ModelInputError when tol is not positive and finite.
+    ModelInputError, before the first step, when tol is not positive and
+    finite or xi0 is not a finite vector of length n = M.shape[0].
     """
     check_tol(tol)
     xi = np.array(xi0, dtype=float)
+    n = np.shape(M)[0]
+    if xi.shape != (n,):
+        raise DimensionMismatchError(f"xi0 must have shape ({n},), got {xi.shape}")
+    if not np.all(np.isfinite(xi)):
+        raise ModelInputError("xi0 must be finite")
     for step in range(1, PHI_MAX_ITER + 1):
         nxt = phi(xi, M, alpha)
         gap = float(np.max(np.abs(nxt - xi)))
@@ -126,6 +142,46 @@ def _lower_bracket_start(model: ModelInstance, v_right: np.ndarray) -> np.ndarra
     raise EpsilonStarNotFoundError("no positive scale made Phi expand the start vector")
 
 
+def _newton_fourier(
+    M: np.ndarray,
+    rate: np.ndarray,
+    Y: np.ndarray,
+    MY: np.ndarray,
+    denom: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """One certified Newton-Fourier step for the bracket rows Y = [u, l].
+
+    rate = 1 + alpha; MY = M Y and denom = 1 + rate MY row by row, as the
+    Phi step forms them, so Phi(Y) = MY / denom and Psi'(M u) = denom_u^-2.
+    One dense solve of F'(u) = I - [Psi'(M u)] M against [F(u), F(l), 1]
+    gives both Newton iterates and w = F'(u)^-1 1 > 0. Each iterate is
+    pushed outward by kappa w, kappa = tol / (4 max w), which raises its
+    margin in F by about kappa, and is kept only if it lies in the old
+    bracket and passes its check in floating point: Phi(u') <= u' above,
+    Phi(l') >= l' > 0 below. A row that fails takes its Phi step. Returns
+    the new rows.
+    """
+    stepped = MY / denom
+    upper, lower = Y
+    jac = np.eye(len(upper)) - M / np.square(denom[0])[:, None]
+    rhs = np.stack([upper - stepped[0], lower - stepped[1], np.ones_like(upper)], axis=1)
+    try:
+        du, dl, w = np.linalg.solve(jac, rhs).T
+    except np.linalg.LinAlgError:
+        return stepped
+    push = (tol / (4.0 * w.max())) * w
+    cand = np.stack([(upper - du) + push, (lower - dl) - push])
+    Mc = np.matvec(M, cand)
+    image = Mc / (1.0 + rate * Mc)
+    inside = np.all((lower <= cand) & (cand <= upper), axis=1)
+    if inside[0] and np.all(image[0] <= cand[0]):
+        stepped[0] = cand[0]
+    if inside[1] and np.all(image[1] >= cand[1]) and np.all(cand[1] > 0.0):
+        stepped[1] = cand[1]
+    return stepped
+
+
 def solve_endemic(
     model: ModelInstance,
     tol: float = 1e-12,
@@ -140,6 +196,14 @@ def solve_endemic(
     midpoint is reported. Recovered and susceptible fractions follow from
     stationarity: z = alpha * y, x = 1 - y - z.
 
+    An iteration after one that shrank the gap by less than half, at a
+    rate that would leave Phi more than n + 25 steps to go, takes a
+    certified Newton-Fourier step (_newton_fourier) in place of the Phi
+    step, so the gap closes in a few dense solves even as R0 falls to 1.
+    A model whose Phi steps always halve the gap takes none and gets the
+    plain two-sided Phi bracket to the last bit. iterations counts loop
+    iterations of either kind.
+
     Returns NoEndemic when R0 <= 1 + R0_TOL. The eigensolve can be skipped
     by passing a precomputed SpectralResult for model.M. Raises
     ModelInputError when tol is not positive and finite, whatever R0 is.
@@ -152,10 +216,13 @@ def solve_endemic(
     if r0 <= 1.0 + R0_TOL:
         return NoEndemic(r0=r0, near_threshold=abs(r0 - 1.0) <= R0_TOL)
 
-    # Rows 0 and 1 of Y are the upper and lower iterates. Each iteration
+    # Rows 0 and 1 of Y are the upper and lower iterates. A Phi step
     # applies Phi to both at once, with out= in the operation order of
     # psi(M @ y): np.matvec runs one gemv per row, which equals M @ y bit
-    # for bit, and 1 + alpha is formed once.
+    # for bit, and 1 + alpha is formed once. A dense solve costs about
+    # n/4 + 15 Phi steps and Newton-Fourier takes several, so it replaces
+    # the Phi step only when Phi, at the rate q of the last iteration,
+    # would need more than n + 25 further steps: q^(n + 25) gap > tol.
     M = model.M
     Y = np.stack([model.ybar, _lower_bracket_start(model, spectral.v_right)])
     upper, lower = Y
@@ -172,6 +239,7 @@ def solve_endemic(
 
     gap = width()
     iterations = 0
+    newton = False
     while gap > tol:
         if iterations >= PHI_MAX_ITER:
             raise NoConvergenceError(
@@ -181,8 +249,13 @@ def solve_endemic(
         matvec(M, Y, MY)
         mul(rate, MY, denom)
         add(one, denom, denom)
-        div(MY, denom, Y)
-        gap = width()
+        if newton:
+            Y[:] = _newton_fourier(M, rate, Y, MY, denom, tol)
+        else:
+            div(MY, denom, Y)
+        last, gap = gap, width()
+        q = gap / last
+        newton = q > 0.5 and q ** (model.n + 25) * gap > tol
         iterations += 1
 
     y_star = 0.5 * (upper + lower)

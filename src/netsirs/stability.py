@@ -173,8 +173,9 @@ def eta_bound(model: ModelInstance, y_star: np.ndarray) -> float:
     return float(min(wy.min(), model.delta.min()))
 
 
-def _pole_shifts(model: ModelInstance, lam: complex) -> np.ndarray:
-    """delta + lam; raises SingularShiftError when lam is a pole -delta_i."""
+def _pole_shifts(model: ModelInstance, lam: complex | np.ndarray) -> np.ndarray:
+    """delta + lam, for one shift or an (S, 1) column of them; raises
+    SingularShiftError when a lam is a pole -delta_i."""
     shifts = model.delta + lam
     if np.any(np.abs(shifts) < 1e-14):
         raise SingularShiftError("lam coincides with -delta_i")
@@ -254,10 +255,18 @@ def gershgorin_certificate(
     """
     y = np.asarray(y_star, dtype=float)
     eta = eta_bound(model, y)
-    # The terms of schur_matrix that do not depend on lam, formed once.
-    # moduli holds the off-diagonal |x*_k W_kj y*_j|; each sample writes
-    # only its diagonal, so the row sums add the same numbers in the same
-    # order as summing |schur_matrix(model, y, lam) * y| does.
+    lams = np.asarray(lambda_samples, dtype=complex).reshape(-1)
+    # the first offending sample raises: a pole before the first sample
+    # outside the half-plane is a SingularShiftError, else ModelInputError
+    outside = np.flatnonzero(lams.real <= -eta)
+    shifts = _pole_shifts(model, lams[:outside[0] if outside.size else None, None])
+    if outside.size:
+        lam = complex(lams[outside[0]])
+        raise ModelInputError(f"sample {lam} lies outside the half-plane Re > {-eta:.6g}")
+    # The terms of schur_matrix that do not depend on lam, formed once:
+    # the radii R_k are the off-diagonal row sums of |x*_k W_kj y*_j|,
+    # and each sample adds only its diagonal H_kk, so every float equals
+    # the one from schur_matrix(model, y, lam) * y with its diagonal zeroed.
     x = 1.0 - y - model.alpha * y
     wy = model.W @ y
     base = wy + model.gamma
@@ -266,22 +275,13 @@ def gershgorin_certificate(
     moduli = x[:, None] * model.W
     moduli *= y
     np.abs(moduli, moduli)
-    diagonal = np.diag_indices_from(moduli)
-    out = []
-    for lam in lambda_samples:
-        lam = complex(lam)
-        if lam.real <= -eta:
-            raise ModelInputError(f"sample {lam} lies outside the half-plane Re > {-eta:.6g}")
-        shifts = _pole_shifts(model, lam)
-        # H_kk = (x*_k W_kk - (wy + gamma + lam + gamma wy / shifts)_k) y*_k
-        h = (own - (base + lam + inflow / shifts)) * y
-        h_abs = np.abs(h)
-        moduli[diagonal] = h_abs
-        margins = -(h.real + (moduli.sum(axis=1) - h_abs))
-        min_margin = float(margins.min())
-        out.append(GershgorinSample(lam=lam, all_disks_left=min_margin > 0.0,
-                                    min_margin=min_margin))
-    return out
+    np.fill_diagonal(moduli, 0.0)
+    radii = moduli.sum(axis=1)
+    # H_kk = (x*_k W_kk - (wy + gamma + lam + gamma wy / shifts)_k) y*_k, one row per sample
+    h = (own - (base + lams[:, None] + inflow / shifts)) * y
+    min_margins = (-(h.real + radii)).min(axis=1)
+    return [GershgorinSample(lam=complex(lam), all_disks_left=bool(m > 0.0), min_margin=float(m))
+            for lam, m in zip(lams.tolist(), min_margins.tolist())]
 
 
 def spectral_abscissa(A: np.ndarray) -> float:

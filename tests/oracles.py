@@ -7,8 +7,9 @@ or by plain power sweeps instead of shifted inverse iteration, the Perron
 roots of a directed ring from its closed-form characteristic equation,
 Jacobians by central differences, fixed points by an exhaustive grid scan
 polished with Newton steps, RK4 steps as plain array expressions instead
-of the preallocated in-place loop, and the equilibrium bracket as two
-serial Phi sequences instead of one stacked pair.
+of the preallocated in-place loop, the equilibrium bracket as two
+serial Phi sequences instead of one stacked pair with Newton-Fourier
+steps, and the endemic equilibrium to 50 digits by mpmath Newton steps.
 """
 
 from __future__ import annotations
@@ -188,10 +189,12 @@ def rk4_plain(model, y: np.ndarray, z: np.ndarray, dt: float, n_steps: int):
 
 
 def bracket_serial(model, v_right: np.ndarray, tol: float = 1e-12):
-    """The two-sided Phi bracket of solve_endemic, one sequence at a time
-    with plain expressions: the upper from the cap, the lower from the
-    largest halving of min(ybar) / (2 max v) v that Phi expands. Returns
-    (midpoint, iterations, final sup-norm gap)."""
+    """The two-sided Phi bracket, one sequence at a time with plain
+    expressions: the upper from the cap, the lower from the largest
+    halving of min(ybar) / (2 max v) v that Phi expands. Returns
+    (midpoint, iterations, final sup-norm gap, halving), where halving
+    says that every iteration shrank the gap to at most half, so that
+    solve_endemic takes no Newton-Fourier step on the model."""
     M, alpha = model.M, model.alpha
 
     def phi(y):
@@ -206,12 +209,49 @@ def bracket_serial(model, v_right: np.ndarray, tol: float = 1e-12):
     upper = model.ybar.copy()
     gap = float(np.max(np.abs(upper - lower)))
     iterations = 0
+    halving = True
     while gap > tol:
         upper = phi(upper)
         lower = phi(lower)
-        gap = float(np.max(np.abs(upper - lower)))
+        last, gap = gap, float(np.max(np.abs(upper - lower)))
+        halving = halving and gap <= 0.5 * last
         iterations += 1
-    return 0.5 * (upper + lower), iterations, gap
+    return 0.5 * (upper + lower), iterations, gap, halving
+
+
+def endemic_mpmath(model, dps: int = 50) -> np.ndarray:
+    """The endemic y* of the float model (W, gamma, delta), computed with
+    dps digits and rounded to floats.
+
+    Newton steps on the convex F(y) = y - Phi(y), with M = [gamma]^-1 W and
+    alpha = gamma / delta formed in mpmath, start from the cap ybar. Above
+    y* each F'(y) is a nonsingular M-matrix, so the iterates decrease
+    monotonically to y*; near R0 = 1 they first halve their distance per
+    step, hence the generous step budget.
+    """
+    import mpmath
+
+    n = model.n
+    with mpmath.workdps(dps):
+        W = [[mpmath.mpf(float(v)) for v in row] for row in model.W]
+        gamma = [mpmath.mpf(float(v)) for v in model.gamma]
+        delta = [mpmath.mpf(float(v)) for v in model.delta]
+        M = mpmath.matrix([[W[i][j] / gamma[i] for j in range(n)] for i in range(n)])
+        rate = [1 + gamma[i] / delta[i] for i in range(n)]
+        y = mpmath.matrix([1 / r for r in rate])
+        for _ in range(500):
+            My = M * y
+            F = mpmath.matrix([y[i] - My[i] / (1 + rate[i] * My[i]) for i in range(n)])
+            J = mpmath.matrix(n, n)
+            for i in range(n):
+                slope = 1 / (1 + rate[i] * My[i]) ** 2
+                for j in range(n):
+                    J[i, j] = (1 if i == j else 0) - slope * M[i, j]
+            step = mpmath.lu_solve(J, F)
+            y = y - step
+            if mpmath.norm(step, mpmath.inf) <= mpmath.mpf(10) ** (10 - dps):
+                return np.array([float(v) for v in y])
+    raise AssertionError("mpmath Newton did not converge in 500 steps")
 
 
 def batch_phi(Y: np.ndarray, M: np.ndarray, alpha: np.ndarray) -> np.ndarray:

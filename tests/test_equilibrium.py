@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,15 +14,19 @@ import netsirs.equilibrium
 import oracles
 from netsirs import (
     EndemicEquilibrium,
+    ModelInputError,
     NoConvergenceError,
     NoEndemic,
     OutOfCapError,
     dominant_eigen,
     iterate_phi,
+    load_model,
     phi,
     psi,
     reconstruct_full,
     reproduction_number,
+    residual,
+    run_sweep,
     solve_endemic,
     validate_model,
 )
@@ -95,6 +102,18 @@ def test_iterate_phi_raises_when_budget_too_small(out_regular3, monkeypatch):
     monkeypatch.setattr(netsirs.equilibrium, "PHI_MAX_ITER", 2)
     with pytest.raises(NoConvergenceError):
         iterate_phi(out_regular3.ybar, out_regular3.M, out_regular3.alpha)
+
+
+@pytest.mark.parametrize("xi0", [[0.1, float("nan"), 0.1], [0.1, 0.1]], ids=["nan", "short"])
+def test_iterate_phi_rejects_bad_start_before_stepping(out_regular3, monkeypatch, xi0):
+    # a NaN start used to run the whole step budget and end in
+    # NoConvergenceError; a short one failed inside matmul
+    def no_step(*args):
+        raise AssertionError("iterate_phi stepped from a bad start")
+
+    monkeypatch.setattr(netsirs.equilibrium, "phi", no_step)
+    with pytest.raises(ModelInputError):
+        iterate_phi(np.array(xi0), out_regular3.M, out_regular3.alpha)
 
 
 def test_lower_bracket_start_expands(ref5):
@@ -213,16 +232,77 @@ def test_y_star_monotone_in_contacts_recovery_and_immunity_loss(n, seed, r0):
     assert np.all(faster_loss >= base - 1e-12)
 
 
-@settings(deadline=None)
-@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(1.05, 6.0))
-def test_solve_endemic_equals_serial_bracket(n, seed, r0):
-    """The stacked (2, n) bracket performs the operations of two serial
-    Phi sequences, so the result is equal to the last bit."""
-    model = helpers.random_supercritical(np.random.default_rng(seed), n, r0)
-    _, spectral = reproduction_number(model)
-    solved = solve_endemic(model, spectral=spectral)
+FIVE_NODE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_node.json")
+TOL = 1e-12
+
+
+def _timed_solve(model):
+    start = time.perf_counter()
+    solved = solve_endemic(model, tol=TOL)
+    elapsed = time.perf_counter() - start
     assert isinstance(solved, EndemicEquilibrium)
-    y_star, iterations, gap = oracles.bracket_serial(model, spectral.v_right)
-    assert np.array_equal(solved.y_star, y_star)
-    assert solved.iterations == iterations
-    assert solved.bracket_gap == gap
+    assert elapsed < 1.0
+    assert np.all(solved.y_star > 0.0)
+    assert solved.bracket_gap <= TOL
+    return solved
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 2e-9])
+def test_solve_endemic_near_threshold_closed_form(eps):
+    # R0 = 1 + eps on a uniform network, where y* = eps / (2 (1 + eps));
+    # the Phi bracket alone contracts at a rate that tends to 1 with eps
+    solved = _timed_solve(helpers.out_regular(n=3, row_sum=1.0 + eps, gamma=1.0, delta=1.0))
+    assert np.max(np.abs(solved.y_star - eps / (2.0 * (1.0 + eps)))) <= TOL
+
+
+def _five_node_at(r0_target):
+    model = load_model(FIVE_NODE)
+    r0, _ = reproduction_number(model)
+    return validate_model(model.W * (r0_target / r0), model.gamma, model.delta)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_solve_endemic_near_threshold_matches_mpmath(eps):
+    model = _five_node_at(1.0 + eps)
+    solved = _timed_solve(model)
+    assert np.max(np.abs(solved.y_star - oracles.endemic_mpmath(model))) <= TOL
+    assert np.max(solved.y_star) < eps
+
+
+def test_sweep_row_near_threshold_is_finite():
+    # R0 = 1 + 1e-7: formerly NoConvergenceError, recorded as a NaN row
+    model = load_model(FIVE_NODE)
+    r0, _ = reproduction_number(model)
+    scale = (1.0 + 1e-7) / r0
+    rows, failures = run_sweep(model, scale, scale, 1)
+    assert failures == 0
+    (row,) = rows
+    assert row.error is None
+    assert row.r0 == pytest.approx(1.0 + 1e-7, abs=1e-12)
+    assert 0.0 < row.endemic_norm < 1e-7
+    assert np.isfinite(row.dfe_abscissa) and np.isfinite(row.endemic_abscissa)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.floats(-8.0, math.log10(5.0), exclude_min=True))
+def test_solve_endemic_certified_bracket(n, seed, log_excess):
+    """On strongly connected models with R0 in (1 + 1e-8, 6], the bracket
+    closes to tol and its midpoint is stationary within the bound that
+    jacobian_endemic enforces. Where the serial Phi bracket converges
+    (R0 >= 1.01) the two agree within tol, and to the last bit when every
+    Phi step halved the gap, so that no Newton-Fourier step was taken."""
+    model = helpers.random_supercritical(np.random.default_rng(seed), n, 1.0 + 10.0**log_excess)
+    _, spectral = reproduction_number(model)
+    solved = solve_endemic(model, tol=TOL, spectral=spectral)
+    assert isinstance(solved, EndemicEquilibrium)
+    assert solved.bracket_gap <= TOL
+    assert np.all(solved.y_star > 0.0)
+    assert residual(model, solved.y_star, solved.z_star) <= 100.0 * TOL
+    if spectral.lam >= 1.01:
+        y_star, iterations, gap, halving = oracles.bracket_serial(model, spectral.v_right, TOL)
+        assert np.max(np.abs(solved.y_star - y_star)) <= TOL
+        if halving:
+            assert np.array_equal(solved.y_star, y_star)
+            assert solved.iterations == iterations
+            assert solved.bracket_gap == gap

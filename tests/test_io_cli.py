@@ -247,13 +247,16 @@ def test_sweep_rows_keep_their_error():
         assert (row.error is None) == (row.scale > 0.0)
 
 
-# sha256 of `netsirs sweep` CSVs on five_node, recorded from the code that
-# took the DFE abscissa from a dense eigensolve of the 2n x 2n Jacobian
+# sha256 of `netsirs sweep` CSVs on five_node, recorded when solve_endemic
+# gained Newton-Fourier steps. Against the plain Phi bracket only the
+# endemic_norm of the rows at R0 = 1.31 (scale 0.15) and 1.09 (scale 0.125)
+# moved, in the 12th digit; both values lie within 2e-13 of
+# oracles.endemic_mpmath, as the old ones did
 _SWEEP_GOLDEN = {
     "supercritical": (["0.05", "1.5", "30"], "30 rows, 0 warnings",
-                      "657f421a2e5319af92f4b723059e802b2d8e034679dffa303691718e09461fc0"),
+                      "a73883fb29f8d3c91fdcc2bab0c5948656063f6688acf9419617b29799e6c6a7"),
     "with_failures": (["-0.5", "2.0", "41"], "41 rows, 9 warnings",
-                      "b88596652ca6df7962d5926656ebd974f1e90d024f611a994d010ea87b31c03c"),
+                      "ce35d641f983be577ccb02371826a4befc59da4c9c363cd826f740687199b28d"),
 }
 
 
@@ -574,6 +577,19 @@ def test_cli_equilibrium_subcritical(tmp_path):
     res = _cli("equilibrium", "--model", str(path))
     assert res.returncode == 0
     assert "NoEndemic (R0 = 0.800000)" in res.stdout
+
+
+def test_cli_equilibrium_near_threshold(tmp_path, capsys):
+    # five_node rescaled to R0 = 1 + 1e-6 used to exit 2 with NoConvergenceError
+    model = load_model(FIVE_NODE)
+    r0, _ = reproduction_number(model)
+    path = tmp_path / "near.json"
+    save_model(validate_model(model.W * ((1.0 + 1e-6) / r0), model.gamma, model.delta), str(path))
+    out = tmp_path / "eq.json"
+    assert netsirs.cli.main(["equilibrium", "--model", str(path), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert 0.0 < min(data["y_star"]) and max(data["y_star"]) < 1e-6
+    assert data["bracket_gap"] <= 1e-12
 
 
 def test_cli_simulate_single_and_multi(tmp_path):

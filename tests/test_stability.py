@@ -18,6 +18,7 @@ from netsirs import (
     GershgorinSample,
     IntegratorConfig,
     InvalidAtBoundaryError,
+    ModelInputError,
     NoConvergenceError,
     NonPositiveEquilibriumError,
     NotEquilibriumError,
@@ -197,7 +198,9 @@ def _gershgorin_by_schur(model, y, samples):
     for lam in samples:
         lam = complex(lam)
         H = schur_matrix(model, y, lam) * y[None, :]
-        radii = np.abs(H).sum(axis=1) - np.abs(np.diagonal(H))
+        off = np.abs(H)
+        np.fill_diagonal(off, 0.0)
+        radii = off.sum(axis=1)
         min_margin = float((-(np.diagonal(H).real + radii)).min())
         out.append(GershgorinSample(lam=lam, all_disks_left=min_margin > 0.0,
                                     min_margin=min_margin))
@@ -209,8 +212,9 @@ _FIVE_NODE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_
 
 @pytest.mark.parametrize("which", ["five_node", "out_regular3", "single_node"])
 def test_gershgorin_equals_schur_matrix_route(which):
-    """Precomputing the shift-free part of H(lam) changes no float: every
-    sample equals the one summed from a full schur_matrix, near a pole too."""
+    """Precomputing the shift-free radii of H(lam) and evaluating every
+    sample in one block changes no float: every sample equals the one
+    summed from a full schur_matrix, near a pole too."""
     model = {
         "five_node": lambda: load_model(_FIVE_NODE),
         "out_regular3": helpers.out_regular,
@@ -231,6 +235,19 @@ def test_gershgorin_equals_schur_matrix_route(which):
             schur_matrix(model, y, lam)
         with pytest.raises(SingularShiftError):
             gershgorin_certificate(model, y, [lam])
+
+
+@pytest.mark.parametrize("order, error", [((1, 2), SingularShiftError),
+                                          ((2, 1), ModelInputError)])
+def test_gershgorin_raises_for_first_offending_sample(order, error):
+    # eta = delta = 0.1 on one node: -0.1 + 1e-15 lies inside the
+    # half-plane but on the pole, and -1 lies outside it
+    model = validate_model([[10.0]], [1.0], [0.1])
+    y = solve_endemic(model).y_star
+    offending = {1: complex(-0.1 + 1e-15), 2: complex(-1.0)}
+    with pytest.raises(error) as raised:
+        gershgorin_certificate(model, y, [0j, *(offending[k] for k in order), 1j])
+    assert type(raised.value) is error
 
 
 def test_default_lambda_samples_layout():
