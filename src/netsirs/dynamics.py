@@ -115,9 +115,10 @@ def simulate(
 
     The initial state and the final step are always recorded. Recorded
     states live in one (m, 1 + 3n) table of [t y z x] rows: each step
-    writes its new state straight into the next row, or into one spare
-    row when the step is not recorded, fills x there and checks the
-    [y z x] part with one minimum. Every stage writes into buffers
+    writes its new state straight into the next unrecorded row, fills x
+    there and checks the [y z x] part with one minimum; a step that is
+    not recorded leaves that row to be overwritten by the next step, and
+    a recorded one gets its t there. Every stage writes into buffers
     allocated once before the loop, so no step allocates an array.
     Raises InvalidInitialError when (1 - y0 - z0, y0, z0) is not a valid
     state and SimplexViolationError as soon as the state leaves the
@@ -165,16 +166,13 @@ def simulate(
     k1, k2, k3, k4 = (np.empty(2 * n) for _ in range(4))
     add, sub, mul, dot, lowest = np.add, np.subtract, np.multiply, np.dot, np.minimum.reduce
 
-    # Row k of the table is the k-th recorded state [t y z x]; a step that
-    # is not recorded goes to the [y z x] spare row.
+    # Row k of the table is the k-th recorded state [t y z x]; every step
+    # writes row `recorded`, which only a recorded step moves past.
     table = np.empty((m, 1 + 3 * n))
-    spare = np.empty(3 * n)
 
     def views(state: np.ndarray) -> tuple:
         # state [y z x] -> (state, [y z], y, z, x)
         return state, state[:2 * n], state[:n], state[n:2 * n], state[2 * n:]
-
-    spare_views = views(spare)
 
     def f(k: np.ndarray) -> None:
         # k = [(1 - y - z) * (W @ y) - gamma * y; gamma * y - delta * z] at the stage
@@ -205,10 +203,7 @@ def simulate(
         f(k3)
         add(u, mul(k3, full, stage), stage)
         f(k4)
-        if step % every == 0 or step == n_steps:
-            state, nxt, uy, uz, ux = views(table[recorded, 1:])
-        else:
-            state, nxt, uy, uz, ux = spare_views
+        state, nxt, uy, uz, ux = views(table[recorded, 1:])
         # u + sixth * (k1 + 2 * (k2 + k3) + k4), then x = (1 - y) - z
         add(k2, k3, acc)
         mul(acc, two, acc)
@@ -220,7 +215,7 @@ def simulate(
         sub(ux, uz, ux)
         if not lowest(state) >= -SIMPLEX_VIOLATION_TOL:
             raise SimplexViolationError(f"state left the simplex at t = {step * dt:.6g}; reduce dt")
-        if state is not spare:
+        if step % every == 0 or step == n_steps:
             table[recorded, 0] = step * dt
             recorded += 1
 

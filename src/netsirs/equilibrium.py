@@ -88,8 +88,11 @@ def psi(y: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def phi(y: np.ndarray, M: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The fixed-point map Psi(M y)."""
-    return psi(np.asarray(M, dtype=float) @ np.asarray(y, dtype=float), alpha)
+    """The fixed-point map Psi(M y), for one vector y or a (k, n) block
+    of them, one per row. np.matvec runs one gemv per row, so every row
+    equals the vector result, and a vector's M y equals M @ y, bit for
+    bit."""
+    return psi(np.matvec(np.asarray(M, dtype=float), np.asarray(y, dtype=float)), alpha)
 
 
 def iterate_phi(
@@ -144,27 +147,26 @@ def _lower_bracket_start(model: ModelInstance, v_right: np.ndarray) -> np.ndarra
 
 def _newton_fourier(
     M: np.ndarray,
-    rate: np.ndarray,
+    alpha: np.ndarray,
     Y: np.ndarray,
     MY: np.ndarray,
-    denom: np.ndarray,
     tol: float,
 ) -> np.ndarray:
     """One certified Newton-Fourier step for the bracket rows Y = [u, l].
 
-    rate = 1 + alpha; MY = M Y and denom = 1 + rate MY row by row, as the
-    Phi step forms them, so Phi(Y) = MY / denom and Psi'(M u) = denom_u^-2.
-    One dense solve of F'(u) = I - [Psi'(M u)] M against [F(u), F(l), 1]
-    gives both Newton iterates and w = F'(u)^-1 1 > 0. Each iterate is
-    pushed outward by kappa w, kappa = tol / (4 max w), which raises its
-    margin in F by about kappa, and is kept only if it lies in the old
-    bracket and passes its check in floating point: Phi(u') <= u' above,
-    Phi(l') >= l' > 0 below. A row that fails takes its Phi step. Returns
-    the new rows.
+    MY = M Y row by row, so the Phi step is psi(MY, alpha) and
+    Psi'(M u) = (1 + (1 + alpha) (M u))^-2. One dense solve of
+    F'(u) = I - [Psi'(M u)] M against [F(u), F(l), 1] gives both Newton
+    iterates and w = F'(u)^-1 1 > 0. Each iterate is pushed outward by
+    kappa w, kappa = tol / (4 max w), which raises its margin in F by
+    about kappa, and is kept only if it lies in the old bracket and
+    passes its check in floating point: Phi(u') <= u' above,
+    Phi(l') >= l' > 0 below. A row that fails takes its Phi step.
+    Returns the new rows.
     """
-    stepped = MY / denom
+    stepped = psi(MY, alpha)
     upper, lower = Y
-    jac = np.eye(len(upper)) - M / np.square(denom[0])[:, None]
+    jac = np.eye(len(upper)) - M / np.square(1.0 + (1.0 + alpha) * MY[0])[:, None]
     rhs = np.stack([upper - stepped[0], lower - stepped[1], np.ones_like(upper)], axis=1)
     try:
         du, dl, w = np.linalg.solve(jac, rhs).T
@@ -172,8 +174,7 @@ def _newton_fourier(
         return stepped
     push = (tol / (4.0 * w.max())) * w
     cand = np.stack([(upper - du) + push, (lower - dl) - push])
-    Mc = np.matvec(M, cand)
-    image = Mc / (1.0 + rate * Mc)
+    image = phi(cand, M, alpha)
     inside = np.all((lower <= cand) & (cand <= upper), axis=1)
     if inside[0] and np.all(image[0] <= cand[0]):
         stepped[0] = cand[0]
@@ -196,8 +197,10 @@ def solve_endemic(
     midpoint is reported. Recovered and susceptible fractions follow from
     stationarity: z = alpha * y, x = 1 - y - z.
 
-    An iteration after one that shrank the gap by less than half, at a
-    rate that would leave Phi more than n + 25 steps to go, takes a
+    The two sequences are the rows of one (2, n) array Y, so a Phi step
+    is psi(np.matvec(M, Y), alpha), which equals phi on each row bit for
+    bit. An iteration after one that shrank the gap by less than half, at
+    a rate that would leave Phi more than n + 25 steps to go, takes a
     certified Newton-Fourier step (_newton_fourier) in place of the Phi
     step, so the gap closes in a few dense solves even as R0 falls to 1.
     A model whose Phi steps always halve the gap takes none and gets the
@@ -216,28 +219,13 @@ def solve_endemic(
     if r0 <= 1.0 + R0_TOL:
         return NoEndemic(r0=r0, near_threshold=abs(r0 - 1.0) <= R0_TOL)
 
-    # Rows 0 and 1 of Y are the upper and lower iterates. A Phi step
-    # applies Phi to both at once, with out= in the operation order of
-    # psi(M @ y): np.matvec runs one gemv per row, which equals M @ y bit
-    # for bit, and 1 + alpha is formed once. A dense solve costs about
-    # n/4 + 15 Phi steps and Newton-Fourier takes several, so it replaces
-    # the Phi step only when Phi, at the rate q of the last iteration,
-    # would need more than n + 25 further steps: q^(n + 25) gap > tol.
-    M = model.M
+    # A dense solve costs about n/4 + 15 Phi steps and Newton-Fourier
+    # takes several, so it replaces the Phi step only when Phi, at the
+    # rate q of the last iteration, would need more than n + 25 further
+    # steps: q^(n + 25) gap > tol.
+    M, alpha = model.M, model.alpha
     Y = np.stack([model.ybar, _lower_bracket_start(model, spectral.v_right)])
-    upper, lower = Y
-    MY = np.empty_like(Y)
-    denom = np.empty_like(Y)
-    one = np.ones_like(Y)
-    rate = 1.0 + model.alpha
-    diff = np.empty(model.n)
-    matvec, add, mul, div, sub = np.matvec, np.add, np.multiply, np.divide, np.subtract
-    widest = np.maximum.reduce
-
-    def width() -> float:
-        return float(widest(np.abs(sub(upper, lower, diff), diff)))
-
-    gap = width()
+    gap = float(np.max(np.abs(Y[0] - Y[1])))
     iterations = 0
     newton = False
     while gap > tol:
@@ -245,22 +233,16 @@ def solve_endemic(
             raise NoConvergenceError(
                 f"equilibrium bracket still {gap:.3e} wide after {PHI_MAX_ITER} iterations"
             )
-        # Y = MY / (1 + (1 + alpha) * MY), MY = M @ y per row
-        matvec(M, Y, MY)
-        mul(rate, MY, denom)
-        add(one, denom, denom)
-        if newton:
-            Y[:] = _newton_fourier(M, rate, Y, MY, denom, tol)
-        else:
-            div(MY, denom, Y)
-        last, gap = gap, width()
+        MY = np.matvec(M, Y)
+        Y = _newton_fourier(M, alpha, Y, MY, tol) if newton else psi(MY, alpha)
+        last, gap = gap, float(np.max(np.abs(Y[0] - Y[1])))
         q = gap / last
         newton = q > 0.5 and q ** (model.n + 25) * gap > tol
         iterations += 1
 
-    y_star = 0.5 * (upper + lower)
+    y_star = 0.5 * (Y[0] + Y[1])
     x_star, z_star = reconstruct_full(y_star, model)
-    residual = float(np.max(np.abs(y_star - phi(y_star, model.M, model.alpha))))
+    residual = float(np.max(np.abs(y_star - phi(y_star, M, alpha))))
     return EndemicEquilibrium(
         y_star=y_star,
         z_star=z_star,

@@ -17,6 +17,21 @@ from .model import ModelInstance, validate_model
 from .dynamics import Trajectory
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """value as a float array, if numpy reads it as integers or floats.
+
+    Strings, booleans, nulls and objects are refused rather than coerced,
+    and so is an integer too large for 64 bits; ModelInputError otherwise.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise ModelInputError(f"{what} is malformed: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ModelInputError(f"{what} must hold JSON numbers only, got {arr.dtype} entries")
+    return arr.astype(float, copy=False)
+
+
 def _load_object(path: str, what: str) -> dict:
     """Parse a JSON file that must hold an object."""
     with open(path) as fh:
@@ -36,15 +51,12 @@ def load_model(path: str) -> ModelInstance:
         if key not in data:
             raise ModelInputError(f"model file {path} is missing field {key!r}")
     n = data["n"]
-    if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
+    if (isinstance(n, bool) or not isinstance(n, (int, float))
+            or isinstance(n, float) and not n.is_integer()):
         raise ModelInputError(f"model file {path} has a non-integer n: {n!r}")
-    try:
-        n = int(n)
-        W = np.asarray(data["W"], dtype=float)
-        gamma = np.asarray(data["gamma"], dtype=float)
-        delta = np.asarray(data["delta"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelInputError(f"model file {path} has malformed fields: {exc}") from exc
+    n = int(n)
+    W, gamma, delta = (_numbers(data[key], f"model file {path} field {key!r}")
+                       for key in ("W", "gamma", "delta"))
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ModelInputError(f"model file {path} has a non-string name: {name!r}")
@@ -79,10 +91,8 @@ def load_initial(path: str) -> tuple[np.ndarray, np.ndarray]:
     for key in ("y0", "z0"):
         if key not in data:
             raise ModelInputError(f"initial-condition file {path} is missing {key!r}")
-    try:
-        return np.asarray(data["y0"], dtype=float), np.asarray(data["z0"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelInputError(f"initial-condition file {path} has malformed vectors: {exc}") from exc
+    return tuple(_numbers(data[key], f"initial-condition file {path} field {key!r}")
+                 for key in ("y0", "z0"))
 
 
 def sample_initial_states(

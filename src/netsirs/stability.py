@@ -175,9 +175,11 @@ def eta_bound(model: ModelInstance, y_star: np.ndarray) -> float:
 
 def _pole_shifts(model: ModelInstance, lam: complex | np.ndarray) -> np.ndarray:
     """delta + lam, for one shift or an (S, 1) column of them; raises
-    SingularShiftError when a lam is a pole -delta_i."""
+    SingularShiftError when a lam is a pole -delta_i, that is, within
+    1e-13 delta_i of it. The test is relative, so lam = 0 is never a pole,
+    however small delta_i is."""
     shifts = model.delta + lam
-    if np.any(np.abs(shifts) < 1e-14):
+    if np.any(np.abs(shifts) <= 1e-13 * model.delta):
         raise SingularShiftError("lam coincides with -delta_i")
     return shifts
 

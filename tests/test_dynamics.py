@@ -156,8 +156,8 @@ def test_simulate_matches_plain_rk4_bit_for_bit(n):
 @pytest.mark.parametrize("lyapunov", [False, True])
 def test_simulate_sparse_records_match_plain_rk4(ref5, lyapunov):
     """With --record-every 7 over 100 steps the last row is the ragged
-    final step; every recorded row, spare-row steps between them, and the
-    V column equal the plain RK4 rows bit for bit."""
+    final step; every recorded row, the unrecorded steps between them, and
+    the V column equal the plain RK4 rows bit for bit."""
     rng = np.random.default_rng(11)
     y0 = rng.uniform(0.0, 0.3, size=5)
     z0 = rng.uniform(0.0, 0.3, size=5)
@@ -176,6 +176,23 @@ def test_simulate_sparse_records_match_plain_rk4(ref5, lyapunov):
                               [weights @ ys[k] for k in steps])
     else:
         assert traj.table.shape == (len(steps), 1 + 3 * 5)
+
+
+@pytest.mark.parametrize("every", [1, 2, 99, 100, 101, 10**6])
+def test_simulate_record_every_matches_plain_rk4(ref5, every):
+    """Unrecorded steps overwrite the next table row in place. Whatever
+    record_every is, every recorded row equals the plain RK4 row bit for
+    bit; from 100 up only the first and the last state are recorded."""
+    rng = np.random.default_rng(every)
+    y0 = rng.uniform(0.0, 0.3, size=5)
+    z0 = rng.uniform(0.0, 0.3, size=5)
+    traj = simulate(ref5, y0, z0, IntegratorConfig(dt=0.02, t_end=2.0, record_every=every))
+    steps = [*range(0, 100, every), 100]
+    ys, zs = oracles.rk4_plain(ref5, y0, z0, 0.02, 100)
+    assert np.array_equal(traj.times, np.array(steps) * 0.02)
+    assert np.array_equal(traj.y, ys[steps])
+    assert np.array_equal(traj.z, zs[steps])
+    assert np.array_equal(traj.x, 1.0 - ys[steps] - zs[steps])
 
 
 def test_trajectory_views_share_the_record_table(ref5):

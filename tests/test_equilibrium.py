@@ -55,6 +55,20 @@ def test_phi_fixed_point_on_uniform_network(out_regular3):
     assert np.allclose(phi(y, out_regular3.M, out_regular3.alpha), y, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_phi_on_a_block_equals_phi_row_by_row(n):
+    """phi on a (3, n) block, as solve_endemic applies it to its bracket
+    rows, equals phi on each row and psi(M @ y), bit for bit."""
+    rng = np.random.default_rng(n)
+    m = helpers.random_supercritical(rng, n, r0_target=2.0)
+    block = rng.uniform(0.0, 1.0, size=(3, n)) * m.ybar
+    rows = phi(block, m.M, m.alpha)
+    assert rows.shape == (3, n)
+    for row, y in zip(rows, block):
+        assert np.array_equal(row, phi(y, m.M, m.alpha))
+        assert np.array_equal(row, psi(m.M @ y, m.alpha))
+
+
 def test_phi_bounded_by_linearization(rng):
     # phi(y) <= M y with strict inequality wherever the pressure is positive
     for _ in range(30):

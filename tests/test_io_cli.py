@@ -785,6 +785,45 @@ def test_cli_sweep_rejects_non_finite_scale(tmp_path, capsys, bounds):
     assert list(tmp_path.iterdir()) == []
 
 
+# JSON entries that numpy would coerce to numbers: (model fields,
+# initial-condition file or None for --random 1)
+_NON_NUMBER_JSON = {
+    "W strings": ({"W": [[str(v) for v in row] for row in helpers.REF5_W]}, None),
+    "n string": ({"n": "5"}, None),
+    "gamma booleans": ({"gamma": [True] * 5}, None),
+    "delta strings": ({"delta": [str(v) for v in helpers.REF5_DELTA]}, None),
+    "y0 strings": ({}, {"y0": ["0.1"] * 5, "z0": [0.0] * 5}),
+    "z0 booleans": ({}, {"y0": [0.1] * 5, "z0": [False] * 5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_NUMBER_JSON))
+def test_cli_rejects_non_numbers_in_json(tmp_path, capsys, case):
+    fields, initial = _NON_NUMBER_JSON[case]
+    argv = ["simulate", "--model", _write_ref5(tmp_path / "model.json", **fields),
+            "--t-end", "0.1", "--out", str(tmp_path / "run.csv")]
+    if initial is None:
+        argv += ["--random", "1"]
+    else:
+        (tmp_path / "init.json").write_text(json.dumps(initial))
+        argv += ["--init", str(tmp_path / "init.json")]
+    inputs = sorted(tmp_path.iterdir())
+    assert netsirs.cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ModelInputError: ") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_runtime_imports_no_test_only_package():
+    """The library and its CLI run on numpy alone."""
+    code = ("import sys, netsirs, netsirs.cli; print(' '.join(name for name in "
+            "('scipy', 'hypothesis', 'mpmath', 'pytest') if name in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "\n"
+
+
 def test_cli_sweep(tmp_path):
     m = helpers.out_regular(n=3, row_sum=2.0, gamma=1.0, delta=3.0)
     path = tmp_path / "reg.json"

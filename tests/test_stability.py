@@ -250,6 +250,16 @@ def test_gershgorin_raises_for_first_offending_sample(order, error):
     assert type(raised.value) is error
 
 
+def test_endemic_certificate_with_a_tiny_delta():
+    # lam = 0 lies 1e-15 from the pole -delta_0 in absolute terms, but
+    # 1e15 delta_0 away from it: the pole test is relative to delta_i
+    model = validate_model([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0], [1e-15, 0.5])
+    eq = solve_endemic(model)
+    cert = endemic_certificate(model, eq.y_star, eq.z_star)
+    assert 0j in [sample.lam for sample in cert.gershgorin_samples]
+    assert cert.verdict == "Stable"
+
+
 def test_default_lambda_samples_layout():
     samples = default_lambda_samples(0.5, seed=0)
     assert len(samples) == 37
