@@ -28,7 +28,6 @@ from .errors import (
     SingularShiftError,
 )
 from .model import (
-    FullState,
     ModelInstance,
     check_irreducible,
     validate_model,

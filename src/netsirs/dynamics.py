@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInitialError, ModelInputError, SimplexViolationError
-from .model import FullState, ModelInstance
+from .model import ModelInstance
 
 SIMPLEX_VIOLATION_TOL = 1e-6
 # relative distance of t_end / dt from a whole number that rounding absorbs
@@ -85,23 +85,19 @@ class Trajectory:
     def n(self) -> int:
         return (self.table.shape[1] - 1) // 3
 
-    @property
-    def states(self) -> list[FullState]:
-        return [FullState(x=self.x[k], y=self.y[k], z=self.z[k]) for k in range(len(self))]
 
-
-def rhs(y: np.ndarray, z: np.ndarray, model: ModelInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (ydot, zdot) of the reduced dynamics."""
+def rhs(model: ModelInstance, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivatives (ydot, zdot) at a state (y, z) or at each row of blocks."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    ydot = (1.0 - y - z) * (model.W @ y) - model.gamma * y
+    ydot = (1.0 - y - z) * np.matvec(model.W, y) - model.gamma * y
     zdot = model.gamma * y - model.delta * z
     return ydot, zdot
 
 
 def residual(model: ModelInstance, y: np.ndarray, z: np.ndarray) -> float:
     """Stationarity defect max(||ydot||_inf, ||zdot||_inf) at (y, z)."""
-    ydot, zdot = rhs(y, z, model)
+    ydot, zdot = rhs(model, y, z)
     return float(max(np.max(np.abs(ydot)), np.max(np.abs(zdot))))
 
 

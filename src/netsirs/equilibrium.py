@@ -37,8 +37,8 @@ from .errors import (
 from .model import ModelInstance
 from .spectral import SpectralResult, reproduction_number
 
-# models whose reproduction number sits within this band of 1 are treated
-# as threshold cases and reported as having no endemic equilibrium
+# models whose computed r0 - 1 is at most this are treated as threshold
+# cases and reported as having no endemic equilibrium
 R0_TOL = 1e-9
 
 # most applications of Phi that iterate_phi may take, and most iterations,
@@ -65,11 +65,11 @@ class EndemicEquilibrium:
 
 @dataclass(frozen=True)
 class NoEndemic:
-    """Returned when R0 <= 1 + R0_TOL; only the origin is stationary.
+    """Returned when r0 - 1 <= R0_TOL; only the origin is stationary.
 
-    near_threshold flags reproduction numbers within R0_TOL of one, where
-    the fixed-point problem is too ill conditioned to resolve a positive
-    equilibrium from the origin.
+    near_threshold flags |r0 - 1| <= R0_TOL, so every NoEndemic with
+    r0 > 1 has it: there the fixed-point problem is too ill conditioned
+    to resolve a positive equilibrium from the origin.
     """
 
     r0: float
@@ -207,7 +207,7 @@ def solve_endemic(
     plain two-sided Phi bracket to the last bit. iterations counts loop
     iterations of either kind.
 
-    Returns NoEndemic when R0 <= 1 + R0_TOL. The eigensolve can be skipped
+    Returns NoEndemic when r0 - 1 <= R0_TOL. The eigensolve can be skipped
     by passing a precomputed SpectralResult for model.M. Raises
     ModelInputError when tol is not positive and finite, whatever R0 is.
     """
@@ -216,8 +216,8 @@ def solve_endemic(
         r0, spectral = reproduction_number(model)
     else:
         r0 = spectral.lam
-    if r0 <= 1.0 + R0_TOL:
-        return NoEndemic(r0=r0, near_threshold=abs(r0 - 1.0) <= R0_TOL)
+    if r0 - 1.0 <= R0_TOL:
+        return NoEndemic(r0=r0, near_threshold=r0 - 1.0 >= -R0_TOL)
 
     # A dense solve costs about n/4 + 15 Phi steps and Newton-Fourier
     # takes several, so it replaces the Phi step only when Phi, at the
@@ -241,7 +241,7 @@ def solve_endemic(
         iterations += 1
 
     y_star = 0.5 * (Y[0] + Y[1])
-    x_star, z_star = reconstruct_full(y_star, model)
+    x_star, z_star = reconstruct_full(model, y_star)
     residual = float(np.max(np.abs(y_star - phi(y_star, M, alpha))))
     return EndemicEquilibrium(
         y_star=y_star,
@@ -253,7 +253,7 @@ def solve_endemic(
     )
 
 
-def reconstruct_full(y_star: np.ndarray, model: ModelInstance) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_full(model: ModelInstance, y_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stationary susceptible and recovered fractions for a given y_star.
 
     At a stationary point z = (gamma/delta) y and x = 1 - y - z. Requires

@@ -17,11 +17,13 @@ from .model import ModelInstance, validate_model
 from .dynamics import Trajectory
 
 
-def _numbers(value, what: str) -> np.ndarray:
-    """value as a float array, if numpy reads it as integers or floats.
+def _numbers(value, what: str, literals: bool) -> np.ndarray:
+    """value as a float array, if it holds JSON numbers only.
 
-    Strings, booleans, nulls and objects are refused rather than coerced,
-    and so is an integer too large for 64 bits; ModelInputError otherwise.
+    numpy's dtype inference refuses strings, nulls, objects, all-boolean
+    lists and integers too large for 64 bits, but reads a boolean among
+    numbers as 0 or 1, so each row is scanned for booleans too when the
+    file text has a true or false literal; ModelInputError otherwise.
     """
     try:
         arr = np.asarray(value)
@@ -29,24 +31,29 @@ def _numbers(value, what: str) -> np.ndarray:
         raise ModelInputError(f"{what} is malformed: {exc}") from exc
     if arr.dtype.kind not in "iuf":
         raise ModelInputError(f"{what} must hold JSON numbers only, got {arr.dtype} entries")
+    rows = value if arr.ndim == 2 else [value] if arr.ndim == 1 else []
+    if literals and any(bool in set(map(type, row)) for row in rows):
+        raise ModelInputError(f"{what} must hold JSON numbers only, got a boolean entry")
     return arr.astype(float, copy=False)
 
 
-def _load_object(path: str, what: str) -> dict:
-    """Parse a JSON file that must hold an object."""
+def _load_object(path: str, what: str) -> tuple[dict, bool]:
+    """Parse a JSON file that must hold an object; also return whether
+    its text has a true or false literal."""
     with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelInputError(f"{path} is not valid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelInputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelInputError(f"{what} file {path} must hold a JSON object, got {type(data).__name__}")
-    return data
+    return data, "true" in text or "false" in text
 
 
 def load_model(path: str) -> ModelInstance:
     """Read and validate a model JSON file; validation errors propagate."""
-    data = _load_object(path, "model")
+    data, literals = _load_object(path, "model")
     for key in ("n", "W", "gamma", "delta"):
         if key not in data:
             raise ModelInputError(f"model file {path} is missing field {key!r}")
@@ -55,7 +62,7 @@ def load_model(path: str) -> ModelInstance:
             or isinstance(n, float) and not n.is_integer()):
         raise ModelInputError(f"model file {path} has a non-integer n: {n!r}")
     n = int(n)
-    W, gamma, delta = (_numbers(data[key], f"model file {path} field {key!r}")
+    W, gamma, delta = (_numbers(data[key], f"model file {path} field {key!r}", literals)
                        for key in ("W", "gamma", "delta"))
     name = data.get("name")
     if name is not None and not isinstance(name, str):
@@ -87,11 +94,11 @@ def save_model(model: ModelInstance, path: str) -> None:
 
 def load_initial(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read {"y0": [...], "z0": [...]} from JSON."""
-    data = _load_object(path, "initial-condition")
+    data, literals = _load_object(path, "initial-condition")
     for key in ("y0", "z0"):
         if key not in data:
             raise ModelInputError(f"initial-condition file {path} is missing {key!r}")
-    return tuple(_numbers(data[key], f"initial-condition file {path} field {key!r}")
+    return tuple(_numbers(data[key], f"initial-condition file {path} field {key!r}", literals)
                  for key in ("y0", "z0"))
 
 

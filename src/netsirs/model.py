@@ -8,7 +8,8 @@ able to travel between any two populations, so the support digraph of W
 (an edge i -> j wherever W[i, j] > 0) has to be strongly connected.
 
 Each population splits into susceptible, infected and recovered fractions
-(x_i, y_i, z_i) that sum to one; FullState holds all three.
+(x_i, y_i, z_i) that sum to one; the library takes a state as y and z
+and forms x as (1 - y) - z.
 """
 
 from __future__ import annotations
@@ -61,15 +62,6 @@ class ModelInstance:
     @property
     def n(self) -> int:
         return self.W.shape[0]
-
-
-@dataclass(frozen=True)
-class FullState:
-    """Susceptible, infected and recovered fractions for every population."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
 
 
 def _reached_from_first(support: np.ndarray) -> np.ndarray:

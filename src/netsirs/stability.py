@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import residual
+from .equilibrium import EndemicEquilibrium, phi
 from .errors import (
     EigenFailureError,
     InvalidAtBoundaryError,
@@ -36,7 +36,7 @@ from .errors import (
     SingularShiftError,
     check_tol,
 )
-from .model import FullState, ModelInstance
+from .model import ModelInstance
 from .spectral import SpectralResult, perron_bracket
 
 STABLE = "Stable"
@@ -137,17 +137,19 @@ def jacobian_endemic(
 ) -> np.ndarray:
     """Reduced Jacobian at a stationary point (y_star, z_star).
 
-    Raises NotEquilibriumError when the stationarity residual exceeds
-    100 * tol, with tol the tolerance the point was solved to, and
-    ModelInputError when tol is not positive and finite.
+    Raises NotEquilibriumError when the fixed-point defect
+    max(||y - Phi(y)||_inf, ||z - alpha y||_inf), a difference of
+    fractions that does not depend on the time unit, exceeds 100 * tol,
+    with tol the tolerance the point was solved to, and ModelInputError
+    when tol is not positive and finite.
     """
     check_tol(tol)
     y = np.asarray(y_star, dtype=float)
     z = np.asarray(z_star, dtype=float)
-    defect = residual(model, y, z)
+    defect = max(np.abs(y - phi(y, model.M, model.alpha)).max(), np.abs(z - model.alpha * y).max())
     if defect > 100.0 * tol:
         raise NotEquilibriumError(
-            f"stationarity residual {defect:.3e} exceeds {100.0 * tol:.3e}"
+            f"fixed-point defect {defect:.3e} exceeds {100.0 * tol:.3e}"
         )
     n = model.n
     x = 1.0 - y - z
@@ -343,51 +345,49 @@ def lyapunov_derivative(
     y: np.ndarray,
     z: np.ndarray,
     spectral: SpectralResult,
-) -> float:
+) -> float | np.ndarray:
     """Along-trajectory derivative of the threshold Lyapunov value,
 
         Vdot = (R0 - 1) v_left' y - v_left' [gamma]^-1 [y + z] W y,
 
-    which is nonpositive whenever R0 <= 1; R0 and v_left come from
-    spectral, the SpectralResult of model.M.
+    at one state (y, z) or at each row of (m, n) blocks, such as
+    Trajectory.y and Trajectory.z; nonpositive whenever R0 <= 1. R0 and
+    v_left come from spectral, the SpectralResult of model.M.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    drive = (spectral.lam - 1.0) * float(spectral.v_left @ y)
-    damping = float((spectral.v_left / model.gamma) @ ((y + z) * (model.W @ y)))
+    drive = (spectral.lam - 1.0) * np.vecdot(y, spectral.v_left)
+    damping = np.vecdot((y + z) * np.matvec(model.W, y), spectral.v_left / model.gamma)
     return drive - damping
 
 
 def rank_one_lyapunov(
-    a: np.ndarray,
+    model: ModelInstance,
     b: np.ndarray,
-    gamma_bar: float,
-    delta: np.ndarray,
-    state: FullState,
-    equilibrium: FullState,
-) -> float:
-    """Global Lyapunov value for rank-one coupling W = a b' with uniform
-    recovery rate gamma_bar.
-
-    The three terms are quadratic wells in x and z plus a logarithmic
-    well in the aggregate infection pressure h = b'y:
+    y: np.ndarray,
+    z: np.ndarray,
+    equilibrium: EndemicEquilibrium,
+) -> float | np.ndarray:
+    """Global Lyapunov value for rank-one coupling W = a b' at one state
+    (y, z) or at each row of (m, n) blocks, with x = (1 - y) - z:
 
         V1 = 1/2 sum_i (b_i / x*_i) (x_i - x*_i)^2
-        V2 = 1/2 sum_i (delta_i b_i / (gamma_bar x*_i)) (z_i - z*_i)^2
-        V3 = h - h* + h* log(h*/h).
+        V2 = 1/2 sum_i (delta_i b_i / (gamma_i x*_i)) (z_i - z*_i)^2
+        V3 = h - h* + h* log(h*/h),  h = b'y,
 
-    V is zero exactly at the equilibrium and decreasing along
-    supercritical trajectories. Raises InvalidAtBoundaryError when
-    h <= 0, where the logarithmic term is undefined.
+    quadratic wells in x and z and a logarithmic one in the infection
+    pressure h, with gamma and delta from model and (x*, y*, z*) from
+    equilibrium. V is zero exactly at the equilibrium and, for uniform
+    gamma, decreasing along supercritical trajectories. Raises
+    InvalidAtBoundaryError when some state has h <= 0.
     """
-    b = np.asarray(b, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    xs, zs = equilibrium.x, equilibrium.z
-    h = float(b @ state.y)
-    h_star = float(b @ equilibrium.y)
-    if h <= 0.0:
+    y = np.asarray(y, dtype=float)
+    xs, zs = equilibrium.x_star, equilibrium.z_star
+    h = np.vecdot(y, b)
+    h_star = float(b @ equilibrium.y_star)
+    if np.any(h <= 0.0):
         raise InvalidAtBoundaryError("aggregate infection pressure b'y must be positive")
-    v1 = 0.5 * float((b / xs) @ (state.x - xs) ** 2)
-    v2 = 0.5 * float(((delta * b) / (gamma_bar * xs)) @ (state.z - zs) ** 2)
+    v1 = 0.5 * np.vecdot(((1.0 - y) - z - xs) ** 2, b / xs)
+    v2 = 0.5 * np.vecdot((z - zs) ** 2, (model.delta * b) / (model.gamma * xs))
     v3 = h - h_star + h_star * np.log(h_star / h)
     return v1 + v2 + v3

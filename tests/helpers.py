@@ -92,18 +92,14 @@ def weighted_ring(n: int) -> tuple[ModelInstance, np.ndarray]:
 
 def rank_one_model(
     rng: np.random.Generator, n: int, r0_target: float
-) -> tuple[ModelInstance, np.ndarray, np.ndarray, float]:
-    """Positive rank-one contact matrix W = a b^T with homogeneous curing.
+) -> tuple[ModelInstance, np.ndarray]:
+    """Positive rank-one contact matrix W = a b^T with unit curing rates.
 
-    Returns the model together with the factors a, b (already folded so
-    that the spectral radius of W equals r0_target) and the curing rate.
+    Returns the model together with the factor b; a is scaled so that the
+    spectral radius of W, which is a'b, equals r0_target.
     """
     a = rng.uniform(0.5, 1.5, size=n)
     b = rng.uniform(0.5, 1.5, size=n)
-    scale = r0_target / float(a @ b)
-    a = a * scale
-    W = np.outer(a, b)
-    gamma_bar = 1.0
+    a = a * (r0_target / float(a @ b))
     delta = rng.uniform(0.3, 0.9, size=n)
-    model = validate_model(W, [gamma_bar] * n, delta)
-    return model, a, b, gamma_bar
+    return validate_model(np.outer(a, b), np.ones(n), delta), b

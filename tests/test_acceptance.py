@@ -16,7 +16,6 @@ import helpers
 import oracles
 from netsirs import (
     EndemicEquilibrium,
-    FullState,
     IntegratorConfig,
     default_lambda_samples,
     dominant_eigen,
@@ -248,18 +247,13 @@ def test_acceptance_09_stationarity_residuals():
 
 
 def test_acceptance_10_rank_one_global_lyapunov():
-    model, a, b, gamma_bar = helpers.rank_one_model(np.random.default_rng(7), 4,
-                                                    r0_target=3.0)
+    model, b = helpers.rank_one_model(np.random.default_rng(7), 4, r0_target=3.0)
     eq = solve_endemic(model)
-    eq_state = FullState(x=eq.x_star, y=eq.y_star, z=eq.z_star)
     cfg = IntegratorConfig(dt=0.01, t_end=500.0, record_every=10)
     worst_step, worst_final = -np.inf, 0.0
     for y0, z0 in sample_initial_states(4, 10, np.random.default_rng(11)):
         traj = simulate(model, y0, z0, cfg)
-        values = np.array([
-            rank_one_lyapunov(a, b, gamma_bar, model.delta, s, eq_state)
-            for s in traj.states
-        ])
+        values = rank_one_lyapunov(model, b, traj.y, traj.z, eq)
         worst_step = max(worst_step, float(np.diff(values).max()))
         worst_final = max(worst_final, float(values[-1]))
     _report(10, worst_step <= 1e-9 and worst_final < 1e-8,

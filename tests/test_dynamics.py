@@ -26,13 +26,13 @@ def test_rhs_single_node_hand_value():
     # y = 0.5, z = 0, W = 2, gamma = delta = 1:
     # ydot = 0.5 * 1 - 0.5 = 0, zdot = 0.5
     m = validate_model([[2.0]], [1.0], [1.0])
-    ydot, zdot = rhs(np.array([0.5]), np.array([0.0]), m)
+    ydot, zdot = rhs(m, np.array([0.5]), np.array([0.0]))
     assert ydot[0] == pytest.approx(0.0)
     assert zdot[0] == pytest.approx(0.5)
 
 
 def test_rhs_vanishes_at_origin(ref5):
-    ydot, zdot = rhs(np.zeros(5), np.zeros(5), ref5)
+    ydot, zdot = rhs(ref5, np.zeros(5), np.zeros(5))
     assert np.all(ydot == 0.0)
     assert np.all(zdot == 0.0)
 
@@ -110,9 +110,7 @@ def test_simulate_record_layout(out_regular3):
     assert len(traj) == 5
     assert traj.y.shape == (5, 3)
     assert isinstance(traj, Trajectory)
-    states = traj.states
-    assert len(states) == 5
-    assert np.allclose(states[0].y, [0.1, 0.0, 0.0])
+    assert np.allclose(traj.y[0], [0.1, 0.0, 0.0])
 
 
 def test_simulate_preserves_simplex(ref5, rng):

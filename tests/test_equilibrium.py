@@ -18,8 +18,10 @@ from netsirs import (
     NoConvergenceError,
     NoEndemic,
     OutOfCapError,
+    R0_TOL,
     dominant_eigen,
     iterate_phi,
+    jacobian_endemic,
     load_model,
     phi,
     psi,
@@ -197,7 +199,7 @@ def test_solve_endemic_barely_supercritical(rng):
 
 def test_reconstruct_full_hand_values():
     m = validate_model([[3.0]], [2.0], [1.0])
-    x, z = reconstruct_full(np.array([0.1]), m)
+    x, z = reconstruct_full(m, np.array([0.1]))
     assert z[0] == pytest.approx(0.2)
     assert x[0] == pytest.approx(0.7)
 
@@ -206,7 +208,7 @@ def test_reconstruct_full_rejects_above_cap():
     m = validate_model([[3.0]], [2.0], [1.0])
     # cap is 1/(1+2) = 1/3
     with pytest.raises(OutOfCapError):
-        reconstruct_full(np.array([0.4]), m)
+        reconstruct_full(m, np.array([0.4]))
 
 
 def test_out_regular_closed_form_variants():
@@ -283,6 +285,25 @@ def test_solve_endemic_near_threshold_matches_mpmath(eps):
     assert np.max(solved.y_star) < eps
 
 
+@pytest.mark.parametrize("excess", [sign * e for e in (1e-11, 1e-10, 1e-9, 1e-8, 1e-7)
+                                    for sign in (1.0, -1.0)])
+def test_solve_endemic_decides_threshold_on_one_difference(excess):
+    """NoEndemic comes exactly when the computed r0 - 1 is at most R0_TOL
+    and is flagged near threshold exactly when |r0 - 1| is, so a NoEndemic
+    with r0 > 1 always carries the flag. five_node at R0 = 1 + 1e-9 has
+    r0 == 1.0 + R0_TOL as floats, though r0 - 1 > R0_TOL."""
+    model = _five_node_at(1.0 + excess)
+    r0, _ = reproduction_number(model)
+    solved = solve_endemic(model, tol=TOL)
+    if isinstance(solved, NoEndemic):
+        assert r0 - 1.0 <= R0_TOL
+        assert solved.near_threshold == (abs(r0 - 1.0) <= R0_TOL)
+        assert solved.near_threshold or r0 < 1.0
+    else:
+        assert r0 - 1.0 > R0_TOL
+        assert np.max(np.abs(solved.y_star - oracles.endemic_mpmath(model))) <= TOL
+
+
 def test_sweep_row_near_threshold_is_finite():
     # R0 = 1 + 1e-7: formerly NoConvergenceError, recorded as a NaN row
     model = load_model(FIVE_NODE)
@@ -302,8 +323,8 @@ def test_sweep_row_near_threshold_is_finite():
        st.floats(-8.0, math.log10(5.0), exclude_min=True))
 def test_solve_endemic_certified_bracket(n, seed, log_excess):
     """On strongly connected models with R0 in (1 + 1e-8, 6], the bracket
-    closes to tol and its midpoint is stationary within the bound that
-    jacobian_endemic enforces. Where the serial Phi bracket converges
+    closes to tol and its midpoint is stationary within 100 tol, both in
+    rate and in the fixed-point defect that jacobian_endemic checks. Where the serial Phi bracket converges
     (R0 >= 1.01) the two agree within tol, and to the last bit when every
     Phi step halved the gap, so that no Newton-Fourier step was taken."""
     model = helpers.random_supercritical(np.random.default_rng(seed), n, 1.0 + 10.0**log_excess)
@@ -313,6 +334,7 @@ def test_solve_endemic_certified_bracket(n, seed, log_excess):
     assert solved.bracket_gap <= TOL
     assert np.all(solved.y_star > 0.0)
     assert residual(model, solved.y_star, solved.z_star) <= 100.0 * TOL
+    jacobian_endemic(model, solved.y_star, solved.z_star, tol=TOL)
     if spectral.lam >= 1.01:
         y_star, iterations, gap, halving = oracles.bracket_serial(model, spectral.v_right, TOL)
         assert np.max(np.abs(solved.y_star - y_star)) <= TOL

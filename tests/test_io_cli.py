@@ -794,6 +794,12 @@ _NON_NUMBER_JSON = {
     "delta strings": ({"delta": [str(v) for v in helpers.REF5_DELTA]}, None),
     "y0 strings": ({}, {"y0": ["0.1"] * 5, "z0": [0.0] * 5}),
     "z0 booleans": ({}, {"y0": [0.1] * 5, "z0": [False] * 5}),
+    # numpy reads a boolean among numbers as 0 or 1
+    "W mixed booleans": ({"W": [[3.0, True, 4.0, 1.0, 8.0]] + helpers.REF5_W[1:]}, None),
+    "gamma mixed booleans": ({"gamma": [1, True, 1, 1, 1]}, None),
+    "delta mixed booleans": ({"delta": [0.3, 0.4, 0.2, 0.1, False]}, None),
+    "y0 mixed booleans": ({}, {"y0": [0.1, True, 0.1, 0.1, 0.1], "z0": [0.0] * 5}),
+    "z0 mixed booleans": ({}, {"y0": [0.1] * 5, "z0": [0.0, False, 0.0, 0.0, 0.0]}),
 }
 
 
@@ -813,6 +819,48 @@ def test_cli_rejects_non_numbers_in_json(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error: ModelInputError: ") and captured.err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_load_model_reads_true_outside_the_numbers(tmp_path):
+    """A true or false in the text only starts the boolean scan."""
+    path = _write_ref5(tmp_path / "model.json", name="true or false")
+    assert load_model(path).name == "true or false"
+    assert np.array_equal(load_model(path).W, helpers.ref5().W)
+
+
+def _five_node_in_time_unit(tmp_path, c: float) -> str:
+    """five_node with W, gamma and delta multiplied by c, the same model
+    with time measured in units 1/c as long."""
+    with open(FIVE_NODE) as fh:
+        data = json.load(fh)
+    for key in ("gamma", "delta"):
+        data[key] = [c * v for v in data[key]]
+    data["W"] = [[c * v for v in row] for row in data["W"]]
+    path = tmp_path / f"five_node_x{c:g}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("c", [365.0, 1e3, 1e4])
+def test_cli_stability_verdicts_do_not_depend_on_the_time_unit(tmp_path, capsys, c):
+    assert netsirs.cli.main(["stability", "--model", FIVE_NODE]) == 0
+    base = json.loads(capsys.readouterr().out)
+    assert netsirs.cli.main(["stability", "--model", _five_node_in_time_unit(tmp_path, c)]) == 0
+    scaled = json.loads(capsys.readouterr().out)
+    assert scaled["dfe"]["verdict"] == base["dfe"]["verdict"] == "Unstable"
+    assert scaled["endemic"]["verdict"] == base["endemic"]["verdict"] == "Stable"
+    assert scaled["endemic"]["eta"] == pytest.approx(c * base["endemic"]["eta"], rel=1e-9)
+    assert np.max(np.abs(np.subtract(scaled["endemic"]["y_star"],
+                                     base["endemic"]["y_star"]))) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [365.0, 1e3, 1e4])
+def test_cli_sweep_rows_do_not_depend_on_the_time_unit(tmp_path, capsys, c):
+    argv = ["--scale-min", "0.05", "--scale-max", "2.0", "--steps", "41",
+            "--out", str(tmp_path / "sweep.csv")]
+    for model in (FIVE_NODE, _five_node_in_time_unit(tmp_path, c)):
+        assert netsirs.cli.main(["sweep", "--model", model, *argv]) == 0
+        assert capsys.readouterr().out.endswith("(41 rows, 0 warnings)\n")
 
 
 def test_runtime_imports_no_test_only_package():

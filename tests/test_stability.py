@@ -14,7 +14,6 @@ import oracles
 from netsirs import (
     INCONCLUSIVE,
     DfeAbscissa,
-    FullState,
     GershgorinSample,
     IntegratorConfig,
     InvalidAtBoundaryError,
@@ -57,7 +56,7 @@ def test_jacobian_dfe_matches_finite_differences(ref5):
     J = jacobian_dfe(ref5)
 
     def f(u):
-        ydot, zdot = rhs(u[:5], u[5:], ref5)
+        ydot, zdot = rhs(ref5, u[:5], u[5:])
         return np.concatenate([ydot, zdot])
 
     J_fd = oracles.finite_diff_jacobian(f, np.zeros(10))
@@ -84,7 +83,7 @@ def test_jacobian_endemic_matches_finite_differences(rng):
     J = jacobian_endemic(m, eq.y_star, eq.z_star)
 
     def f(u):
-        ydot, zdot = rhs(u[:4], u[4:], m)
+        ydot, zdot = rhs(m, u[:4], u[4:])
         return np.concatenate([ydot, zdot])
 
     J_fd = oracles.finite_diff_jacobian(f, np.concatenate([eq.y_star, eq.z_star]))
@@ -463,36 +462,53 @@ def test_lyapunov_grows_near_unstable_dfe(ref5):
 
 
 def test_rank_one_lyapunov_hand_value():
-    # single node, W = 2 = a b' with a = 2, b = 1, equilibrium (.5,.25,.25)
-    state = FullState(x=np.array([0.4]), y=np.array([0.35]), z=np.array([0.25]))
-    eq = FullState(x=np.array([0.5]), y=np.array([0.25]), z=np.array([0.25]))
-    v = rank_one_lyapunov(np.array([2.0]), np.array([1.0]), 1.0, np.array([1.0]), state, eq)
+    # single node, W = 2 = a b' with a = 2, b = 1, gamma = delta = 1:
+    # equilibrium (x*, y*, z*) = (.5, .25, .25), state (.4, .35, .25)
+    m = validate_model([[2.0]], [1.0], [1.0])
+    eq = solve_endemic(m)
+    v = rank_one_lyapunov(m, np.array([1.0]), np.array([0.35]), np.array([0.25]), eq)
     v3 = 0.35 - 0.25 + 0.25 * np.log(0.25 / 0.35)
     assert v == pytest.approx(0.01 + v3, abs=1e-12)
 
 
 def test_rank_one_lyapunov_zero_only_at_equilibrium(rng):
-    model, a, b, gamma_bar = helpers.rank_one_model(rng, 4, r0_target=3.0)
+    model, b = helpers.rank_one_model(rng, 4, r0_target=3.0)
     eq = solve_endemic(model)
-    eq_state = FullState(x=eq.x_star, y=eq.y_star, z=eq.z_star)
-    assert rank_one_lyapunov(a, b, gamma_bar, model.delta, eq_state, eq_state) == pytest.approx(0.0, abs=1e-14)
-    y = eq.y_star * 0.9
-    other = FullState(x=1.0 - y - eq.z_star, y=y, z=eq.z_star)
-    assert rank_one_lyapunov(a, b, gamma_bar, model.delta, other, eq_state) > 0.0
+    assert rank_one_lyapunov(model, b, eq.y_star, eq.z_star, eq) == pytest.approx(0.0, abs=1e-14)
+    assert rank_one_lyapunov(model, b, eq.y_star * 0.9, eq.z_star, eq) > 0.0
     with pytest.raises(InvalidAtBoundaryError):
-        boundary = FullState(x=1.0 - eq.z_star, y=np.zeros(4), z=eq.z_star)
-        rank_one_lyapunov(a, b, gamma_bar, model.delta, boundary, eq_state)
+        rank_one_lyapunov(model, b, np.zeros(4), eq.z_star, eq)
+    # one state on the boundary is enough for a block
+    block = np.stack([eq.y_star, np.zeros(4)])
+    with pytest.raises(InvalidAtBoundaryError):
+        rank_one_lyapunov(model, b, block, np.stack([eq.z_star, eq.z_star]), eq)
 
 
 def test_rank_one_lyapunov_decays_along_trajectory(rng):
-    model, a, b, gamma_bar = helpers.rank_one_model(rng, 3, r0_target=2.5)
+    model, b = helpers.rank_one_model(rng, 3, r0_target=2.5)
     eq = solve_endemic(model)
-    eq_state = FullState(x=eq.x_star, y=eq.y_star, z=eq.z_star)
     traj = simulate(model, np.array([0.2, 0.05, 0.1]), np.array([0.1, 0.1, 0.0]),
                     IntegratorConfig(dt=0.01, t_end=20.0, record_every=10))
-    values = [
-        rank_one_lyapunov(a, b, gamma_bar, model.delta, s, eq_state) for s in traj.states
-    ]
+    values = rank_one_lyapunov(model, b, traj.y, traj.z, eq)
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-9)
     assert values[-1] < values[0]
+
+
+def test_lyapunov_functions_on_a_block_equal_row_by_row_calls(rng):
+    """On an (m, n) block each row of the result equals the call on that
+    row's vectors, bit for bit; a vector call gives a float."""
+    model, b = helpers.rank_one_model(rng, 4, r0_target=3.0)
+    spec = dominant_eigen(model.M)
+    eq = solve_endemic(model)
+    traj = simulate(model, np.array([0.2, 0.05, 0.1, 0.3]), np.array([0.1, 0.1, 0.0, 0.2]),
+                    IntegratorConfig(dt=0.01, t_end=5.0, record_every=7))
+    y, z = traj.y, traj.z
+    derivative = lyapunov_derivative(model, y, z, spec)
+    rank_one = rank_one_lyapunov(model, b, y, z, eq)
+    assert derivative.shape == rank_one.shape == (len(traj),)
+    pairs = list(zip(y, z))
+    assert np.array_equal(derivative, [lyapunov_derivative(model, *s, spec) for s in pairs])
+    assert np.array_equal(rank_one, [rank_one_lyapunov(model, b, *s, eq) for s in pairs])
+    assert isinstance(lyapunov_derivative(model, y[0], z[0], spec), float)
+    assert isinstance(rank_one_lyapunov(model, b, y[0], z[0], eq), float)
