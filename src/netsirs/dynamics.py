@@ -71,10 +71,12 @@ class Trajectory:
 
     table has shape (m, 1 + 3n), row k the k-th recorded state [t y z x],
     which is the trajectory CSV row. times (m,) and y, z, x (m, n) are
-    views into it.
+    views into it. steps is the number of RK4 steps integrated: fewer than
+    t_end / dt when the state settled (see simulate).
     """
 
     table: np.ndarray
+    steps: int
     times = property(lambda self: self.table[:, 0])
     y, z, x = _block(0), _block(1), _block(2)
 
@@ -116,6 +118,17 @@ def simulate(
     not recorded leaves that row to be overwritten by the next step, and
     a recorded one gets its t there. Every stage writes into buffers
     allocated once before the loop, so no step allocates an array.
+
+    A step is a pure function of [y z]: it reads only that, W, the rates
+    and dt, and overwrites every buffer it uses. So once a step returns
+    its input bit for bit (an equilibrium is a fixed point of every RK4
+    map, and a converging orbit reaches one in floating point), every
+    later state is that state. The loop then stops and fills the rows
+    left with it, each with the t = step * dt of its recorded step. The
+    test compares bytes (-0.0 is not 0.0) after the simplex check, so a
+    NaN never settles; the table is the one the full loop writes, byte
+    for byte, and Trajectory.steps counts the steps integrated.
+
     Raises InvalidInitialError when (1 - y0 - z0, y0, z0) is not a valid
     state and SimplexViolationError as soon as the state leaves the
     simplex by more than SIMPLEX_VIOLATION_TOL. Every step is checked, so
@@ -188,6 +201,8 @@ def simulate(
     sub(ux, uz, ux)
     recorded = 1
     for step in range(1, n_steps + 1):
+        # an unrecorded step overwrites u's row, so snapshot u first
+        before = u.tobytes()
         # at u the stage-one factor (1 - y) - z is the x of u's row
         dot(W, uy, wy)
         mul(ux, wy, drive)
@@ -214,5 +229,14 @@ def simulate(
         if step % every == 0 or step == n_steps:
             table[recorded, 0] = step * dt
             recorded += 1
+        if u.tobytes() == before:
+            # settled: every later step returns this state, so the rows
+            # left are this state at the later recorded steps
+            rest = table[recorded:]
+            rest[:, 1:] = state
+            later = np.arange(step // every + 1, n_steps // every + 1) * every
+            rest[:len(later), 0] = later * dt
+            rest[len(later):, 0] = n_steps * dt
+            break
 
-    return Trajectory(table)
+    return Trajectory(table, step)

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import functools
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import helpers
 import oracles
@@ -12,10 +17,12 @@ from netsirs import (
     ModelInputError,
     SimplexViolationError,
     Trajectory,
+    load_model,
     lyapunov_value,
     reproduction_number,
     residual,
     rhs,
+    sample_initial_states,
     simulate,
     solve_endemic,
     validate_model,
@@ -149,6 +156,8 @@ def test_simulate_matches_plain_rk4_bit_for_bit(n):
     assert np.array_equal(traj.z, zs)
     assert np.array_equal(traj.x, 1.0 - ys - zs)
     assert np.array_equal(traj.times, np.arange(301) * 0.02)
+    # by t = 6 no start has settled, so every step is integrated
+    assert traj.steps == 300
 
 
 @pytest.mark.parametrize("lyapunov", [False, True])
@@ -231,3 +240,84 @@ def test_lyapunov_trace_matches_pointwise(out_regular3):
     # subcritical: the trace decays monotonically
     assert np.all(np.diff(trace) <= 1e-12)
     assert trace[-1] < trace[0]
+
+
+@functools.cache
+def _settling_run(name: str):
+    """(model, y0, z0, plain RK4 rows of y and z) over 4,000 steps of
+    dt = 0.02: ref5 or a random n = 40 model with R0 = 3, both of which
+    settle well before t = 80."""
+    rng = np.random.default_rng(80)
+    m = helpers.ref5() if name == "ref5" else helpers.random_supercritical(rng, 40, 3.0)
+    y0 = rng.uniform(0.0, 0.3, size=m.n)
+    z0 = rng.uniform(0.0, 0.3, size=m.n)
+    return (m, y0, z0, *oracles.rk4_plain(m, y0, z0, 0.02, 4000))
+
+
+@pytest.mark.parametrize("every", [1, 7, 4000, 10**6])
+@pytest.mark.parametrize("name", ["ref5", "random40"])
+def test_simulate_matches_plain_rk4_across_settling(name, every):
+    """Once a step returns its input bit for bit simulate stops and fills
+    the rows left with that state; the table still equals the plain RK4
+    rows of every step, times included."""
+    m, y0, z0, ys, zs = _settling_run(name)
+    traj = simulate(m, y0, z0, IntegratorConfig(dt=0.02, t_end=80.0, record_every=every))
+    steps = [*range(0, 4000, every), 4000]
+    assert traj.steps < 4000
+    assert np.array_equal(traj.times, np.array(steps) * 0.02)
+    assert np.array_equal(traj.y, ys[steps])
+    assert np.array_equal(traj.z, zs[steps])
+    assert np.array_equal(traj.x, 1.0 - ys[steps] - zs[steps])
+
+
+def test_simulate_settles_at_once_at_the_origin(ref5):
+    """At y = z = 0 every RK4 stage is +0.0, so the first step returns
+    its input and every row is [t 0 0 1]."""
+    traj = simulate(ref5, np.zeros(5), np.zeros(5),
+                    IntegratorConfig(dt=0.02, t_end=80.0, record_every=7))
+    steps = [*range(0, 4000, 7), 4000]
+    ys, zs = oracles.rk4_plain(ref5, np.zeros(5), np.zeros(5), 0.02, 4000)
+    assert traj.steps == 1
+    assert np.array_equal(traj.times, np.array(steps) * 0.02)
+    assert np.array_equal(traj.y, ys[steps]) and np.array_equal(traj.z, zs[steps])
+    assert np.array_equal(traj.table[:, 1:], np.tile([0.0] * 10 + [1.0] * 5, (len(steps), 1)))
+
+
+def test_settled_run_allocates_nothing_per_later_step(ref5):
+    """10**7 steps with two recorded rows: after settling at step 1 the
+    fill allocates nothing of the size of the later steps (an arange over
+    them would take 80 MB)."""
+    cfg = IntegratorConfig(dt=0.01, t_end=1e5, record_every=10**7)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        traj = simulate(ref5, np.zeros(5), np.zeros(5), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps == 1
+    assert np.array_equal(traj.times, [0.0, 10**7 * 0.01])
+    assert peak < 2**20
+
+
+def test_settled_five_node_runs_match_an_independent_integrator():
+    """five_node from 8 seeded starts to t = 100 at dt = 0.01: every run
+    settles, its last row lies within 1e-11 of scipy's DOP853 and its
+    settled state within 1e-12 of the endemic equilibrium, bracketed to
+    1e-14 (at the default tol of 1e-12 the bracket alone is that wide)."""
+    m = load_model(os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_node.json"))
+    eq = solve_endemic(m, tol=1e-14)
+    n = m.n
+
+    def field(t, u):
+        return np.concatenate(rhs(m, u[:n], u[n:]))
+
+    rng = np.random.default_rng(100)
+    for y0, z0 in sample_initial_states(n, 8, rng):
+        traj = simulate(m, y0, z0, IntegratorConfig(dt=0.01, t_end=100.0))
+        assert traj.steps < 10_000
+        ref = solve_ivp(field, (0.0, 100.0), np.concatenate([y0, z0]), method="DOP853",
+                        rtol=1e-12, atol=1e-14).y[:, -1]
+        assert np.max(np.abs(traj.table[-1, 1:1 + 2 * n] - ref)) <= 1e-11
+        assert np.max(np.abs(traj.y[-1] - eq.y_star)) <= 1e-12
+        assert np.max(np.abs(traj.z[-1] - eq.z_star)) <= 1e-12

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 import netsirs.cli
@@ -710,7 +714,11 @@ _GOLDEN_INIT = {"y0": [0.1, 0.0, 0.2, 0.05, 0.0], "z0": [0.0, 0.1, 0.0, 0.3, 0.0
 # rows, more than two write chunks. "lyapunov" was re-recorded when v_left
 # came to be solved to rounding by shifted inverse iteration: V moved at
 # the 12th digit in 7 of 44 rows, closer to an mpmath left eigenvector
-# (largest |V - V_exact| 8.1e-13 before, 6.2e-13 after).
+# (largest |V - V_exact| 8.1e-13 before, 6.2e-13 after). "settled" and
+# "random_settled" were recorded from the loop that integrated every step,
+# and run past the step where each start settles (the golden init at
+# t = 55.84, the two random starts at about 56.2 and 55.2), so they pin the
+# rows that simulate fills without integrating.
 _SIMULATE_GOLDEN = {
     "random": (
         ["--random", "2", "--seed", "9", "--t-end", "2", "--record-every", "20"],
@@ -728,6 +736,15 @@ _SIMULATE_GOLDEN = {
     "init": (
         ["--init", "{init}", "--t-end", "25", "--record-every", "1"],
         ["c91f23d2173899911f0bbecbf627a6f77352d247b6a261902a90d05705910633"],
+    ),
+    "settled": (
+        ["--init", "{init}", "--t-end", "100", "--record-every", "1"],
+        ["6b5b7944b6649896e9c50d4323a69f044ba2fc90753896aff971437b223709f7"],
+    ),
+    "random_settled": (
+        ["--random", "2", "--seed", "9", "--t-end", "120", "--record-every", "7", "--lyapunov"],
+        ["ac3007655234546e1076a82429d4f32b6a8ed608c986520a687f77fdb38f8de3",
+         "55b0091c73c5ea408428230ad1eaf61da8ea863a73642f3a0cc08a3005eeef10"],
     ),
 }
 
@@ -887,3 +904,93 @@ def test_cli_sweep(tmp_path):
     assert float(row["scale"]) == 1.0
     assert float(row["r0"]) == pytest.approx(2.0, abs=1e-8)
     assert float(row["endemic_norm"]) == pytest.approx(0.375, abs=1e-9)
+
+
+# JSON trees: nested lists and objects over null, booleans, integers up
+# to 1e30, floats (NaN and infinities included) and short strings
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=30,
+)
+# the shape each field must have; "name" must be a string or null, "n" the
+# number 5
+_FIELD_SHAPES = {"W": (5, 5), "gamma": (5,), "delta": (5,), "y0": (5,), "z0": (5,)}
+
+
+def _fits(tree, field: str) -> bool:
+    """Whether tree has the type and shape that field needs, so that only
+    its values can make the run fail."""
+    if field == "name":
+        return tree is None or isinstance(tree, str)
+    if field == "n":
+        return not isinstance(tree, bool) and isinstance(tree, (int, float)) and tree == 5
+
+    def fits(node, shape):
+        if not shape:
+            return not isinstance(node, bool) and isinstance(node, (int, float))
+        return (isinstance(node, list) and len(node) == shape[0]
+                and all(fits(item, shape[1:]) for item in node))
+
+    return fits(tree, _FIELD_SHAPES[field])
+
+
+def _run_fuzzed(argv: list[str]) -> int:
+    """main on argv, output captured; an exception escaping main fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = netsirs.cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and err.getvalue().endswith("\n")
+    return code
+
+
+def _fuzz_both_files(model: object, initial: object) -> tuple[int, int]:
+    """Exit codes of `r0 --model` on model and of a short `simulate
+    --init` run on model and initial, written as JSON files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, init_path = os.path.join(tmp, "model.json"), os.path.join(tmp, "init.json")
+        with open(model_path, "w") as fh:
+            json.dump(model, fh)
+        with open(init_path, "w") as fh:
+            json.dump(initial, fh)
+        r0_code = _run_fuzzed(["r0", "--model", model_path])
+        sim_code = _run_fuzzed(["simulate", "--model", model_path, "--init", init_path,
+                                "--t-end", "0.1", "--out", os.path.join(tmp, "run.csv")])
+    return r0_code, sim_code
+
+
+@settings(deadline=None, max_examples=150)
+@given(_JSON_TREES, st.booleans())
+def test_cli_survives_fuzzed_json_files(tree, as_model):
+    """A whole JSON tree as the model or the initial-condition file never
+    gets past the loaders."""
+    with open(FIVE_NODE) as fh:
+        model = json.load(fh)
+    r0_code, sim_code = _fuzz_both_files(tree, _GOLDEN_INIT) if as_model else \
+        _fuzz_both_files(model, tree)
+    if as_model:
+        assert r0_code == sim_code == 1
+    else:
+        assert r0_code == 0
+        may_run = isinstance(tree, dict) and {"y0", "z0"} <= tree.keys()
+        assert sim_code == 1 or may_run
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["n", "W", "gamma", "delta", "name", "y0", "z0"]), _JSON_TREES)
+def test_cli_survives_fuzzed_json_fields(field, tree):
+    """A JSON tree as one field of an otherwise valid five_node model or
+    initial-condition file; a wrong type or shape exits 1."""
+    with open(FIVE_NODE) as fh:
+        model = json.load(fh)
+    initial = dict(_GOLDEN_INIT)
+    (initial if field in ("y0", "z0") else model)[field] = tree
+    r0_code, sim_code = _fuzz_both_files(model, initial)
+    if not _fits(tree, field):
+        assert sim_code == 1
+        assert r0_code == (0 if field in ("y0", "z0") else 1)
