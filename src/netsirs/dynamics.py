@@ -112,12 +112,17 @@ def simulate(
     """Integrate from (y0, z0) and record every record_every-th step.
 
     The initial state and the final step are always recorded. Recorded
-    states live in one (m, 1 + 3n) table of [t y z x] rows: each step
-    writes its new state straight into the next unrecorded row, fills x
-    there and checks the [y z x] part with one minimum; a step that is
-    not recorded leaves that row to be overwritten by the next step, and
-    a recorded one gets its t there. Every stage writes into buffers
-    allocated once before the loop, so no step allocates an array.
+    states live in one (m, 1 + 3n) table of [t y z x] rows. The state
+    lives in a point buffer [W y | y | z | x | gamma | delta], and each
+    stage in another with s = (1 - y) - z in place of x: a point's halves
+    val = [W y | y | z] and fac = [s | gamma | delta] multiply to its
+    whole field [s (W y) | gamma y | delta z] in one call. Each step
+    updates [y z] in place, fills x and checks [y z x] with one minimum;
+    a recorded step copies [y z x] and its t into its row. Every stage
+    writes into buffers allocated once before the loop, so no step
+    allocates an array. With the operations in the order of the plain
+    expressions, a step makes 33 numpy calls, and a recorded one a 34th
+    for its row.
 
     A step is a pure function of [y z]: it reads only that, W, the rates
     and dt, and overwrites every buffer it uses. So once a step returns
@@ -163,50 +168,49 @@ def simulate(
     full = np.full(2 * n, dt)
     two = np.full(2 * n, 2.0)
     sixth = np.full(2 * n, dt / 6.0)
-    rate = np.concatenate([model.gamma, model.delta])
-    s = np.empty(n)
-    wy = np.empty(n)
     acc = np.empty(2 * n)
-    # field = [s * (W @ y) | gamma * y | delta * z], so k = field[:2n] - field[n:]
+    # A point buffer [W y | y | z | s | gamma | delta] holds a point [y z],
+    # its factor s = (1 - y) - z and the rates, so that its halves
+    # val = [W y | y | z] and fac = [s | gamma | delta] multiply to the
+    # field [s * (W y) | gamma * y | delta * z], and k = field[:2n] - field[n:].
+    # cur holds the state, whose s is its x, so [y z x] is one slice of it;
+    # work holds the stage.
+    cur = np.concatenate([np.empty(4 * n), model.gamma, model.delta])
+    work = cur.copy()
+    val1, fac1, wu, u, state = cur[:3 * n], cur[3 * n:], cur[:n], cur[n:3 * n], cur[n:4 * n]
+    uy, uz, ux = cur[n:2 * n], cur[2 * n:3 * n], cur[3 * n:4 * n]
+    val, fac, wy, stage = work[:3 * n], work[3 * n:], work[:n], work[n:3 * n]
+    stage_y, stage_z, s = work[n:2 * n], work[2 * n:3 * n], work[3 * n:4 * n]
     field = np.empty(3 * n)
-    drive, pair, flows = field[:n], field[:2 * n], field[n:]
-    stage = np.empty(2 * n)
-    stage_y, stage_z = stage[:n], stage[n:]
+    pair, flows = field[:2 * n], field[n:]
     k1, k2, k3, k4 = (np.empty(2 * n) for _ in range(4))
-    add, sub, mul, dot, lowest = np.add, np.subtract, np.multiply, np.dot, np.minimum.reduce
-
-    # Row k of the table is the k-th recorded state [t y z x]; every step
-    # writes row `recorded`, which only a recorded step moves past.
-    table = np.empty((m, 1 + 3 * n))
-
-    def views(state: np.ndarray) -> tuple:
-        # state [y z x] -> (state, [y z], y, z, x)
-        return state, state[:2 * n], state[:n], state[n:2 * n], state[2 * n:]
+    # W.dot skips the __array_function__ dispatch of np.dot: same product
+    add, sub, mul, dot, lowest = np.add, np.subtract, np.multiply, W.dot, np.minimum.reduce
 
     def f(k: np.ndarray) -> None:
         # k = [(1 - y - z) * (W @ y) - gamma * y; gamma * y - delta * z] at the stage
         sub(one, stage_y, s)
         sub(s, stage_z, s)
-        dot(W, stage_y, wy)
-        mul(s, wy, drive)
-        mul(rate, stage, flows)
+        dot(stage_y, wy)
+        mul(fac, val, field)
         sub(pair, flows, k)
 
-    # row 0: the initial state, already on the simplex by the check above
-    table[0, 0] = 0.0
-    table[0, 1:1 + n] = y
-    table[0, 1 + n:1 + 2 * n] = z
-    state, u, uy, uz, ux = views(table[0, 1:])
+    # Row k of the table is the k-th recorded state [t y z x].
+    table = np.empty((m, 1 + 3 * n))
+    # the initial state, already on the simplex by the check above
+    uy[:] = y
+    uz[:] = z
     sub(one, uy, ux)
     sub(ux, uz, ux)
+    table[0, 0] = 0.0
+    table[0, 1:] = state
     recorded = 1
     for step in range(1, n_steps + 1):
-        # an unrecorded step overwrites u's row, so snapshot u first
+        # the step updates u in place, so snapshot it first
         before = u.tobytes()
-        # at u the stage-one factor (1 - y) - z is the x of u's row
-        dot(W, uy, wy)
-        mul(ux, wy, drive)
-        mul(rate, u, flows)
+        # at the state the stage-one factor (1 - y) - z is its x
+        dot(uy, wu)
+        mul(fac1, val1, field)
         sub(pair, flows, k1)
         add(u, mul(k1, half, stage), stage)  # u + half * k1
         f(k2)
@@ -214,20 +218,20 @@ def simulate(
         f(k3)
         add(u, mul(k3, full, stage), stage)
         f(k4)
-        state, nxt, uy, uz, ux = views(table[recorded, 1:])
-        # u + sixth * (k1 + 2 * (k2 + k3) + k4), then x = (1 - y) - z
+        # u + sixth * (k1 + 2 * (k2 + k3) + k4), in place, then x = (1 - y) - z
         add(k2, k3, acc)
         mul(acc, two, acc)
         add(k1, acc, acc)
         add(acc, k4, acc)
-        add(u, mul(acc, sixth, acc), nxt)
-        u = nxt
+        add(u, mul(acc, sixth, acc), u)
         sub(one, uy, ux)
         sub(ux, uz, ux)
         if not lowest(state) >= -SIMPLEX_VIOLATION_TOL:
             raise SimplexViolationError(f"state left the simplex at t = {step * dt:.6g}; reduce dt")
         if step % every == 0 or step == n_steps:
-            table[recorded, 0] = step * dt
+            row = table[recorded]
+            row[0] = step * dt
+            row[1:] = state
             recorded += 1
         if u.tobytes() == before:
             # settled: every later step returns this state, so the rows

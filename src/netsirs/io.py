@@ -142,14 +142,28 @@ CSV_CHUNK_ROWS = 1000
 
 def _write_table(path: str, header: str, table: np.ndarray) -> None:
     """Write the header line, then one row per table row, every number
-    as "%.12g". Each chunk of CSV_CHUNK_ROWS rows is a single %-format of
-    the row format repeated once per row."""
-    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    as "%.12g".
+
+    The trailing run of rows whose numbers after column 0 have the bytes
+    of the last row's (a settled trajectory; -0.0 is not 0.0, and a NaN
+    matches only its own payload) shares one text for them, formatted
+    once: such a row is its "%.12g" t followed by that text. Each chunk
+    of CSV_CHUNK_ROWS rows is one %-format of the row format repeated
+    once per row before the run and of the t format once per row in it.
+    The bytes are those of formatting every number."""
+    rows, cols = table.shape
+    bits = table[:, 1:].view(np.int64)
+    differs = np.flatnonzero(~(bits == bits[-1:]).all(axis=1))
+    settled = int(differs[-1]) + 1 if differs.size else 0
+    line = ",".join(["%.12g"] * cols) + "\n"
+    tail = "%.12g" + "".join([",%.12g" % v for v in table[-1:, 1:].ravel().tolist()]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
-            chunk = table[start:start + CSV_CHUNK_ROWS]
-            fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, rows)
+            mid = min(max(start, settled), stop)
+            fh.write(line * (mid - start) % tuple(table[start:mid].ravel().tolist())
+                     + tail * (stop - mid) % tuple(table[mid:stop, 0].tolist()))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path: str,

@@ -9,7 +9,9 @@ Jacobians by central differences, fixed points by an exhaustive grid scan
 polished with Newton steps, RK4 steps as plain array expressions instead
 of the preallocated in-place loop, the equilibrium bracket as two
 serial Phi sequences instead of one stacked pair with Newton-Fourier
-steps, and the endemic equilibrium to 50 digits by mpmath Newton steps.
+steps, the endemic equilibrium to 50 digits by mpmath Newton steps, and
+CSV files cell by cell instead of in chunks that format a settled tail
+once.
 """
 
 from __future__ import annotations
@@ -186,6 +188,15 @@ def rk4_plain(model, y: np.ndarray, z: np.ndarray, dt: float, n_steps: int):
         ys.append(y)
         zs.append(z)
     return np.array(ys), np.array(zs)
+
+
+def csv_plain(path: str, header: str, table: np.ndarray) -> None:
+    """Write the header line and one line per table row, every cell
+    formatted on its own as "%.12g"."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in np.asarray(table).tolist():
+            fh.write(",".join("%.12g" % v for v in row) + "\n")
 
 
 def bracket_serial(model, v_right: np.ndarray, tol: float = 1e-12):

@@ -300,6 +300,26 @@ def test_settled_run_allocates_nothing_per_later_step(ref5):
     assert peak < 2**20
 
 
+def test_unsettled_run_allocates_nothing_per_step():
+    """20,000 steps of five_node at dt = 0.001 end at t = 20, well before
+    the state settles, and every one of them is integrated; the loop works
+    in buffers allocated once, so the traced peak stays a few kB."""
+    m = load_model(os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_node.json"))
+    y0 = np.array([0.1, 0.0, 0.2, 0.05, 0.0])
+    z0 = np.array([0.0, 0.1, 0.0, 0.3, 0.0])
+    cfg = IntegratorConfig(dt=0.001, t_end=20.0, record_every=20000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        traj = simulate(m, y0, z0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps == 20000
+    assert len(traj) == 2
+    assert peak < 2**16
+
+
 def test_settled_five_node_runs_match_an_independent_integrator():
     """five_node from 8 seeded starts to t = 100 at dt = 0.01: every run
     settles, its last row lies within 1e-11 of scipy's DOP853 and its

@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 import netsirs.cli
+import netsirs.io
 import netsirs.equilibrium
 import netsirs.stability
 import netsirs.sweep
+import oracles
 from netsirs import (
     DimensionMismatchError,
     EndemicEquilibrium,
@@ -30,6 +32,7 @@ from netsirs import (
     jacobian_endemic,
     load_initial,
     load_model,
+    lyapunov_value,
     model_to_dict,
     reproduction_number,
     run_sweep,
@@ -177,6 +180,68 @@ def test_trajectory_csv_format(tmp_path, out_regular3):
     assert format(0.1, ".12g") == "0.1"
     for cell in lines[2].split(","):
         assert len(cell.split(".")[-1]) <= 13
+
+
+# a NaN whose payload differs from np.nan's: the same "nan" text, other bytes
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0])
+_CELLS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1e300,
+                          np.inf, -np.inf, np.nan, _NAN_PAYLOAD]) | st.floats()
+# the rows of a trailing run: none, a few, or around one and two chunk boundaries
+_CHUNK = netsirs.io.CSV_CHUNK_ROWS
+_RUN_ROWS = st.integers(0, 4) | st.integers(_CHUNK - 3, _CHUNK + 3) \
+    | st.integers(2 * _CHUNK - 3, 2 * _CHUNK + 3)
+
+
+@st.composite
+def _tables(draw):
+    """A table of 1-6 columns: a few drawn rows, then a run of copies of
+    one drawn [y z x] row, one cell of which may hold the other zero or
+    the other NaN in one row of the run, so that the run breaks there."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(_CELLS, min_size=cols - 1, max_size=cols - 1)
+    head = draw(st.lists(row, max_size=4))
+    run = draw(_RUN_ROWS)
+    body = np.array(head + [draw(row)] * run, dtype=float).reshape(len(head) + run, cols - 1)
+    twin = draw(st.sampled_from([None, (0.0, -0.0), (-0.0, 0.0), (np.nan, _NAN_PAYLOAD)]))
+    if twin is not None and cols > 1 and run > 1:
+        col = draw(st.integers(0, cols - 2))
+        body[len(head):, col] = twin[0]
+        body[len(head) + draw(st.integers(0, run - 2)), col] = twin[1]
+    t = np.arange(body.shape[0]) * draw(st.sampled_from([0.01, 1.0, -0.5, np.nan]))
+    return np.column_stack((t, body))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_tables())
+def test_write_table_matches_plain_csv(table):
+    """The trailing run of rows equal to the last row after column 0 is
+    formatted once; the file has the bytes of formatting every cell, for
+    0- and 1-row and 1-column tables, -0.0 or another NaN inside the run,
+    and runs across the chunk boundary."""
+    header = ",".join(f"c{k}" for k in range(table.shape[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, plain = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "plain.csv")
+        netsirs.io._write_table(fast, header, table)
+        oracles.csv_plain(plain, header, table)
+        with open(fast, "rb") as a, open(plain, "rb") as b:
+            assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_settled_trajectory_csv_with_lyapunov_matches_plain_csv(tmp_path, every):
+    """A five_node run to t = 100 settles near t = 56, so about 45% of its
+    rows, V included, are the last row's; the CSV is still the plain one."""
+    model = load_model(FIVE_NODE)
+    traj = simulate(model, np.array(_GOLDEN_INIT["y0"]), np.array(_GOLDEN_INIT["z0"]),
+                    IntegratorConfig(dt=0.01, t_end=100.0, record_every=every))
+    V = lyapunov_value(model, traj.y, reproduction_number(model)[1])
+    table = np.column_stack((traj.table, V))
+    settled = table[-len(table) // 3:, 1:]
+    assert np.array_equal(settled, np.broadcast_to(table[-1, 1:], settled.shape))
+    fast, plain = tmp_path / "fast.csv", tmp_path / "plain.csv"
+    write_trajectory_csv(traj, str(fast), lyapunov=V)
+    oracles.csv_plain(str(plain), trajectory_header(model.n, True), table)
+    assert fast.read_bytes() == plain.read_bytes()
 
 
 def test_sweep_rows_match_closed_form(tmp_path):

@@ -14,6 +14,7 @@ from netsirs import (
     ReducibleError,
     dominant_eigen,
     reproduction_number,
+    validate_model,
 )
 from oracles import collatz_wielandt_bounds
 
@@ -132,6 +133,47 @@ def test_perron_pair_stops_at_the_solve_cap(ref5, monkeypatch):
     assert np.array_equal(capped.v_right, res.v_right)
     assert np.array_equal(capped.v_left, res.v_left)
     assert capped.lam == res.lam
+
+
+def _many_decades_model():
+    """A valid n = 4 model whose right Perron vector spans 2e-9 to 1
+    (cond(M) 2.8e8): draw 25, counted from 0, of the d = 6 batch of
+    default_rng(0), where for d = 4 and then 6 each of 60 draws takes
+    n = integers(1, 5) and then W, gamma and delta as 10 ** uniform(-d, d)."""
+    rng = np.random.default_rng(0)
+    for d in (4, 6):
+        for draw in range(60):
+            n = rng.integers(1, 5)
+            W, gamma, delta = (10.0 ** rng.uniform(-d, d, shape) for shape in ((n, n), n, n))
+            if (d, draw) == (6, 25):
+                return validate_model(W, gamma, delta)
+
+
+def _many_decades_r0() -> float:
+    import mpmath
+
+    model = _many_decades_model()
+    with mpmath.workdps(50):
+        M = mpmath.matrix([[mpmath.mpf(float(w)) / mpmath.mpf(float(g)) for w in row]
+                           for row, g in zip(model.W, model.gamma)])
+        return float(max(mpmath.re(lam) for lam in mpmath.eig(M, left=False, right=False)))
+
+
+def test_perron_bracket_closes_at_a_loose_tol_over_many_decades():
+    """At tol 1e-7 the bracket closes on the many-decades model, and R0 =
+    19.0973... lies within tol of the 50-digit root."""
+    r0 = reproduction_number(_many_decades_model(), tol=1e-7)[0]
+    assert abs(r0 - _many_decades_r0()) <= 1e-7
+
+
+@pytest.mark.xfail(raises=NoConvergenceError, strict=True,
+                   reason="the Collatz-Wielandt ratios of a Perron vector spanning 2e-9 to 1 "
+                          "round far above eps * R0, so the bracket stalls above tol "
+                          "(6.3e-8 wide at tol 1e-10); ROADMAP item 1")
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+def test_perron_bracket_closes_at_the_default_tol_over_many_decades(tol):
+    r0 = reproduction_number(_many_decades_model(), tol=tol)[0]
+    assert abs(r0 - _many_decades_r0()) <= tol
 
 
 def test_reference_network_reproduction_number(ref5):
