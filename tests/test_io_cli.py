@@ -339,6 +339,61 @@ def test_cli_sweep_csv_bytes_are_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# five_node with W scaled to R0 = 0.5, the no-endemic case; the factor is
+# 0.5 / R0 rounded to 10 digits, so the file does not depend on an R0 solve
+_SUBCRITICAL_SCALE = 0.05718634341
+
+# sha256 of the stdout and the --out JSON of the analysis commands, recorded
+# before jacobian_dfe, dfe_abscissa and the equilibrium JSON writer were
+# simplified. equilibrium stdout leaves out its "wrote <path>" line, the one
+# line that names the path; r0 and stability write no other path.
+_ANALYSIS_GOLDEN = {
+    ("five_node", "r0"): (
+        "0519793fe49c4a9da7cf4ad0a332882f049cdaf327dba130cc038ac5a4dae886", None),
+    ("five_node", "equilibrium"): (
+        "c6a8b2ba38643029e04ad90df4b016a9c6264d2fd94a03e3f7a7d44f5221d5a2",
+        "f175cea552bc3a1b34bd8ecadae0e6c6d1fc0db46254d93ec8a22f2a3b9ad66a"),
+    ("five_node", "stability"): (
+        "d0079331769f988f0b4188e6d7633d9906c5617eacedb4b198138478ca924c18",
+        "d0079331769f988f0b4188e6d7633d9906c5617eacedb4b198138478ca924c18"),
+    ("subcritical", "r0"): (
+        "17b27b7d5017e1d691978be65ca9853027e24a09652c9a11f4b4eafeb1fa4ab3", None),
+    ("subcritical", "equilibrium"): (
+        "b5227d675e51f54bc17fd5c19ec11f56b27279255cb3572a2fa74d076bb57c18",
+        "5d885606b77be065ddfba5082d993578f2c2c2ef27474c81d99bbdc022bd8a9c"),
+    ("subcritical", "stability"): (
+        "d6caa09d627abe8067cc75caaa22e53d0d58005b65fab1c1ab530e308cdab854",
+        "d6caa09d627abe8067cc75caaa22e53d0d58005b65fab1c1ab530e308cdab854"),
+}
+
+
+def _analysis_model(tmp_path, name: str) -> str:
+    if name == "five_node":
+        return FIVE_NODE
+    with open(FIVE_NODE) as fh:
+        data = json.load(fh)
+    data["W"] = [[_SUBCRITICAL_SCALE * v for v in row] for row in data["W"]]
+    path = tmp_path / "five_node_subcritical.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("name,command", sorted(_ANALYSIS_GOLDEN))
+def test_cli_analysis_bytes_are_pinned(tmp_path, capsys, name, command):
+    stdout_digest, json_digest = _ANALYSIS_GOLDEN[name, command]
+    argv = [command, "--model", _analysis_model(tmp_path, name)]
+    out = tmp_path / f"{command}.json"
+    if json_digest is not None:
+        argv += ["--out", str(out)]
+    assert netsirs.cli.main(argv) == 0
+    text = capsys.readouterr().out
+    if command == "equilibrium":
+        text = text.removesuffix(f"wrote {out}\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == stdout_digest
+    if json_digest is not None:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest
+
+
 def test_sweep_takes_one_dense_eigensolve_per_supercritical_row(monkeypatch):
     # the DFE abscissa comes from the Perron bracket; only the endemic
     # Jacobian of a supercritical row goes through a dense eigensolve
