@@ -75,8 +75,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
                   "near_threshold": solved.near_threshold}
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0
 

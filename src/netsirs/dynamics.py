@@ -111,14 +111,16 @@ def simulate(
 ) -> Trajectory:
     """Integrate from (y0, z0) and record every record_every-th step.
 
-    The initial state and the final step are always recorded. Recorded
-    states live in one (m, 1 + 3n) table of [t y z x] rows. The state
-    lives in a point buffer [W y | y | z | x | gamma | delta], and each
+    The recorded steps are [*range(0, n_steps, record_every), n_steps]:
+    the initial state and the final step are always recorded. That one
+    schedule sets the rows of an (m, 1 + 3n) table of [t y z x] rows and
+    fills its t column before the loop. The state lives in a point
+    buffer [W y | y | z | x | gamma | delta], and each
     stage in another with s = (1 - y) - z in place of x: a point's halves
     val = [W y | y | z] and fac = [s | gamma | delta] multiply to its
     whole field [s (W y) | gamma y | delta z] in one call. Each step
     updates [y z] in place, fills x and checks [y z x] with one minimum;
-    a recorded step copies [y z x] and its t into its row. Every stage
+    a recorded step copies [y z x] into its row. Every stage
     writes into buffers allocated once before the loop, so no step
     allocates an array. With the operations in the order of the plain
     expressions, a step makes 33 numpy calls, and a recorded one a 34th
@@ -128,11 +130,11 @@ def simulate(
     and dt, and overwrites every buffer it uses. So once a step returns
     its input bit for bit (an equilibrium is a fixed point of every RK4
     map, and a converging orbit reaches one in floating point), every
-    later state is that state. The loop then stops and fills the rows
-    left with it, each with the t = step * dt of its recorded step. The
-    test compares bytes (-0.0 is not 0.0) after the simplex check, so a
-    NaN never settles; the table is the one the full loop writes, byte
-    for byte, and Trajectory.steps counts the steps integrated.
+    later state is that state. The loop then stops and writes it into
+    the [y z x] of every row left. The test compares bytes (-0.0 is not
+    0.0) after the simplex check, so a NaN never settles; the table is
+    the one the full loop writes, byte for byte, and Trajectory.steps
+    counts the steps integrated.
 
     Raises InvalidInitialError when (1 - y0 - z0, y0, z0) is not a valid
     state and SimplexViolationError as soon as the state leaves the
@@ -156,7 +158,9 @@ def simulate(
     dt = float(cfg.dt)
     n_steps = int(round(cfg.t_end / dt))
     every = int(cfg.record_every)
-    m = 1 + n_steps // every + (1 if n_steps % every else 0)
+    # [*range(0, n_steps, every), n_steps]: the arange ends at the first multiple >= n_steps
+    schedule = np.arange(0, n_steps + every, every)
+    schedule[-1] = n_steps
 
     # Every buffer is allocated here, once, with its views. The step writes
     # into them with out= in the operation order of the plain expressions
@@ -195,14 +199,14 @@ def simulate(
         mul(fac, val, field)
         sub(pair, flows, k)
 
-    # Row k of the table is the k-th recorded state [t y z x].
-    table = np.empty((m, 1 + 3 * n))
+    # Row k of the table is the k-th recorded state [t y z x], t set here
+    table = np.empty((len(schedule), 1 + 3 * n))
+    mul(schedule, dt, table[:, 0])
     # the initial state, already on the simplex by the check above
     uy[:] = y
     uz[:] = z
     sub(one, uy, ux)
     sub(ux, uz, ux)
-    table[0, 0] = 0.0
     table[0, 1:] = state
     recorded = 1
     for step in range(1, n_steps + 1):
@@ -229,18 +233,12 @@ def simulate(
         if not lowest(state) >= -SIMPLEX_VIOLATION_TOL:
             raise SimplexViolationError(f"state left the simplex at t = {step * dt:.6g}; reduce dt")
         if step % every == 0 or step == n_steps:
-            row = table[recorded]
-            row[0] = step * dt
-            row[1:] = state
+            table[recorded, 1:] = state
             recorded += 1
         if u.tobytes() == before:
             # settled: every later step returns this state, so the rows
-            # left are this state at the later recorded steps
-            rest = table[recorded:]
-            rest[:, 1:] = state
-            later = np.arange(step // every + 1, n_steps // every + 1) * every
-            rest[:len(later), 0] = later * dt
-            rest[len(later):, 0] = n_steps * dt
+            # left are this state
+            table[recorded:, 1:] = state
             break
 
     return Trajectory(table, step)

@@ -207,6 +207,11 @@ def solve_endemic(
     plain two-sided Phi bracket to the last bit. iterations counts loop
     iterations of either kind.
 
+    The bracket is certified up to rounding: at the floor its rows can
+    cross by an ulp and cycle with the gap above tol. NoConvergenceError,
+    naming the width and tol, is raised as soon as the state recurs, and
+    after PHI_MAX_ITER iterations.
+
     Returns NoEndemic when r0 - 1 <= R0_TOL. The eigensolve can be skipped
     by passing a precomputed SpectralResult for model.M. Raises
     ModelInputError when tol is not positive and finite, whatever R0 is.
@@ -228,11 +233,24 @@ def solve_endemic(
     gap = float(np.max(np.abs(Y[0] - Y[1])))
     iterations = 0
     newton = False
+    # (Y, newton) fixes every later iteration, so a state met before
+    # recurs forever with the gap above tol. Brent's check: compare each
+    # state with the one kept at the last power-of-two iteration, which
+    # finds a cycle of any period p entered at mu by iteration 2 max(mu, p) + p.
+    mark = None
     while gap > tol:
         if iterations >= PHI_MAX_ITER:
             raise NoConvergenceError(
                 f"equilibrium bracket still {gap:.3e} wide after {PHI_MAX_ITER} iterations"
             )
+        state = (Y.tobytes(), newton)
+        if state == mark:
+            raise NoConvergenceError(
+                f"equilibrium bracket stalled {gap:.3e} wide, above tol = {tol:.3e}, "
+                f"after {iterations} iterations: its rows repeat at the rounding floor"
+            )
+        if iterations & (iterations - 1) == 0:
+            mark = state
         MY = np.matvec(M, Y)
         Y = _newton_fourier(M, alpha, Y, MY, tol) if newton else psi(MY, alpha)
         last, gap = gap, float(np.max(np.abs(Y[0] - Y[1])))

@@ -69,15 +69,12 @@ class StabilityCertificate:
 
 
 def jacobian_dfe(model: ModelInstance) -> np.ndarray:
-    """Reduced Jacobian at the infection-free state, blockwise
-    [[W - [gamma], 0], [[gamma], -[delta]]]. Kept for tests and oracles;
-    dfe_abscissa gives its abscissa without forming it."""
-    n = model.n
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = model.W - np.diag(model.gamma)
-    J[n:, :n] = np.diag(model.gamma)
-    J[n:, n:] = -np.diag(model.delta)
-    return J
+    """Reduced Jacobian at the infection-free state, jacobian_endemic at
+    y = z = 0 (defect exactly 0): [[W - [gamma], -0], [[gamma], -[delta]]].
+    Kept for tests and oracles; dfe_abscissa gives its abscissa without
+    forming it."""
+    origin = np.zeros(model.n)
+    return jacobian_endemic(model, origin, origin)
 
 
 @dataclass(frozen=True)
@@ -116,17 +113,15 @@ def dfe_abscissa(model: ModelInstance) -> DfeAbscissa:
     perron_bracket closes a Collatz-Wielandt bracket on s(B) to DFE_TOL
     times the rate scale max(max gamma, |max_i (B 1)_i|), which bounds
     |s(B)|: the ratios carry rounding of order eps times that scale, so
-    the width is measured on it. The result is the midpoint, raised to
-    -min delta when the bracket lies below it. Raises NoConvergenceError
-    when the bracket does not close (spectral.MAX_SOLVES solves).
+    the width is measured on it. The midpoint and both bounds are raised
+    to -min delta where they lie below it. Raises NoConvergenceError when
+    the bracket does not close (spectral.MAX_SOLVES solves).
     """
     B = model.W - np.diag(model.gamma)
     floor = -float(model.delta.min())
     scale = max(float(model.gamma.max()), abs(float(B.sum(axis=1).max())))
     _, lo, hi, solves = perron_bracket(B, DFE_TOL * scale)
-    if hi < floor:
-        return DfeAbscissa(floor, floor, floor, solves)
-    return DfeAbscissa(max(0.5 * (lo + hi), floor), max(lo, floor), hi, solves)
+    return DfeAbscissa(max(0.5 * (lo + hi), floor), max(lo, floor), max(hi, floor), solves)
 
 
 def jacobian_endemic(

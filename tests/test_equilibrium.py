@@ -342,3 +342,32 @@ def test_solve_endemic_certified_bracket(n, seed, log_excess):
             assert np.array_equal(solved.y_star, y_star)
             assert solved.iterations == iterations
             assert solved.bracket_gap == gap
+
+
+# models whose bracket stalls at tol 1e-17: at the rounding floor its rows
+# cross by an ulp and the (rows, step kind) state recurs with the period
+# given, first at the iteration given (numpy 2.4.6 on OpenBLAS 0.3.31)
+_STALLED = {
+    "ref5, period 2": (None, 2, 24),
+    "seed 35 n 3, period 3": ((35, 3), 3, 24),
+    "seed 2 n 6, period 4": ((2, 6), 4, 25),
+    "seed 1 n 6, period 7": ((1, 6), 7, 35),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STALLED))
+def test_solve_endemic_stops_when_the_bracket_state_recurs(monkeypatch, case):
+    """A recurring state repeats forever, so the loop raises at once,
+    naming the width and tol, well before the cap (set to 1,000 here so
+    that a loop that runs to it fails fast with another message)."""
+    draw, period, first = _STALLED[case]
+    model = helpers.ref5() if draw is None else helpers.random_supercritical(
+        np.random.default_rng(draw[0]), draw[1], 2.0)
+    monkeypatch.setattr(netsirs.equilibrium, "PHI_MAX_ITER", 1000)
+    with pytest.raises(NoConvergenceError,
+                       match=r"bracket stalled \S+ wide, above tol = 1\.000e-17, "
+                             r"after \d+ iterations") as err:
+        solve_endemic(model, tol=1e-17)
+    iterations = int(str(err.value).split("after ")[1].split()[0])
+    # Brent's check finds the cycle by iteration 2 max(first, period) + period
+    assert first + period <= iterations <= 2 * max(first, period) + period

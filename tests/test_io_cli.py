@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -314,6 +315,32 @@ def test_sweep_rows_keep_their_error():
     assert len(errors) == failures
     for row in rows:
         assert (row.error is None) == (row.scale > 0.0)
+
+
+_STALL = "NoConvergenceError: equilibrium bracket stalled 2.776e-17 wide, above tol = 1.000e-17"
+
+
+def test_sweep_row_keeps_the_stall_reason():
+    # at tol 1e-17 the five_node bracket stalls at the rounding floor
+    rows, failures = run_sweep(load_model(FIVE_NODE), 1.0, 1.0, 1, tol=1e-17)
+    (row,) = rows
+    assert failures == 1 and row.scale == 1.0
+    assert np.all(np.isnan([row.r0, row.endemic_norm, row.dfe_abscissa, row.endemic_abscissa]))
+    assert row.error.startswith(_STALL)
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "stability"])
+def test_cli_stalled_bracket_exits_two_at_once(capsys, command):
+    """At --tol 1e-17 the five_node bracket rows swap one component
+    between two floats an ulp apart from about iteration 24 on. The run
+    stops when that state recurs, in well under a second, where it used
+    to run all PHI_MAX_ITER iterations (about 100 s)."""
+    start = time.perf_counter()
+    assert netsirs.cli.main([command, "--model", FIVE_NODE, "--tol", "1e-17"]) == 2
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {_STALL}, after ")
 
 
 # sha256 of `netsirs sweep` CSVs on five_node, recorded when solve_endemic

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,13 @@ from netsirs import (
     NoConvergenceError,
     ReducibleError,
     dominant_eigen,
+    load_model,
     reproduction_number,
     validate_model,
 )
 from oracles import collatz_wielandt_bounds
+
+FIVE_NODE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_node.json")
 
 
 def test_two_node_chain_eigenpair():
@@ -149,10 +154,10 @@ def _many_decades_model():
                 return validate_model(W, gamma, delta)
 
 
-def _many_decades_r0() -> float:
+def _mpmath_r0(model) -> float:
+    """R0 from a 50-digit eigensolve of M = W / gamma."""
     import mpmath
 
-    model = _many_decades_model()
     with mpmath.workdps(50):
         M = mpmath.matrix([[mpmath.mpf(float(w)) / mpmath.mpf(float(g)) for w in row]
                            for row, g in zip(model.W, model.gamma)])
@@ -163,7 +168,7 @@ def test_perron_bracket_closes_at_a_loose_tol_over_many_decades():
     """At tol 1e-7 the bracket closes on the many-decades model, and R0 =
     19.0973... lies within tol of the 50-digit root."""
     r0 = reproduction_number(_many_decades_model(), tol=1e-7)[0]
-    assert abs(r0 - _many_decades_r0()) <= 1e-7
+    assert abs(r0 - _mpmath_r0(_many_decades_model())) <= 1e-7
 
 
 @pytest.mark.xfail(raises=NoConvergenceError, strict=True,
@@ -173,7 +178,25 @@ def test_perron_bracket_closes_at_a_loose_tol_over_many_decades():
 @pytest.mark.parametrize("tol", [1e-10, 1e-8])
 def test_perron_bracket_closes_at_the_default_tol_over_many_decades(tol):
     r0 = reproduction_number(_many_decades_model(), tol=tol)[0]
-    assert abs(r0 - _many_decades_r0()) <= tol
+    assert abs(r0 - _mpmath_r0(_many_decades_model())) <= tol
+
+
+@pytest.mark.parametrize("target", [
+    1e5,
+    pytest.param(1e6, marks=pytest.mark.xfail(
+        raises=NoConvergenceError, strict=True,
+        reason="the tol is absolute: the bracket stalls at "
+               "[999999.99999999988, 1000000.0000000001] after 50 solves; ROADMAP item 1")),
+])
+def test_r0_of_five_node_scaled_to_a_large_r0(target):
+    """five_node with W scaled to R0 = target: at the default tol R0 lies
+    within 1e-10 relative of a 50-digit root (at 1e5 in 9 solves). At
+    target 1e7 a shifted solve is singular."""
+    base = load_model(FIVE_NODE)
+    model = validate_model(base.W * (target / reproduction_number(base)[0]),
+                           base.gamma, base.delta)
+    r0 = reproduction_number(model)[0]
+    assert abs(r0 - _mpmath_r0(model)) <= 1e-10 * target
 
 
 def test_reference_network_reproduction_number(ref5):

@@ -52,6 +52,20 @@ def test_jacobian_dfe_single_node():
     assert np.allclose(J, [[1.0, 0.0], [1.0, -1.0]])
 
 
+@pytest.mark.parametrize("n", [1, 4, 30])
+def test_jacobian_dfe_equals_its_blocks(n):
+    """jacobian_endemic at y = z = 0 gives the block lower-triangular
+    [[W - [gamma], 0], [[gamma], -[delta]]] exactly, up to the sign of the
+    zeros of its upper right block -[W y]."""
+    m = helpers.random_supercritical(np.random.default_rng(n), n, 2.0)
+    J = jacobian_dfe(m)
+    blocks = np.block([[m.W - np.diag(m.gamma), np.zeros((n, n))],
+                       [np.diag(m.gamma), -np.diag(m.delta)]])
+    assert np.array_equal(J, blocks)
+    assert np.all(np.signbit(J[:n, n:]))
+    assert spectral_abscissa(J) == spectral_abscissa(blocks)
+
+
 def test_jacobian_dfe_matches_finite_differences(ref5):
     J = jacobian_dfe(ref5)
 
