@@ -34,7 +34,6 @@ from .model import (
 )
 from .spectral import (
     SpectralResult,
-    dominant_eigen,
     reproduction_number,
 )
 from .equilibrium import (

@@ -33,6 +33,7 @@ from .errors import (
     NoConvergenceError,
     OutOfCapError,
     check_tol,
+    recurrence_check,
 )
 from .model import ModelInstance
 from .spectral import SpectralResult, reproduction_number
@@ -104,10 +105,12 @@ def iterate_phi(
     """Iterate Phi from xi0 until the step size drops to tol.
 
     Returns the final iterate and the number of steps taken; no iterate
-    history is kept. Raises NoConvergenceError when PHI_MAX_ITER
-    applications of the map still leave steps above tol, and
-    ModelInputError, before the first step, when tol is not positive and
-    finite or xi0 is not a finite vector of length n = M.shape[0].
+    history is kept. Raises NoConvergenceError, naming the last step and
+    tol, as soon as an iterate recurs (at the rounding floor the steps can
+    cycle above tol; recurrence_check), and when PHI_MAX_ITER applications
+    of the map still leave steps above tol. Raises ModelInputError, before
+    the first step, when tol is not positive and finite or xi0 is not a
+    finite vector of length n = M.shape[0].
     """
     check_tol(tol)
     xi = np.array(xi0, dtype=float)
@@ -116,12 +119,19 @@ def iterate_phi(
         raise DimensionMismatchError(f"xi0 must have shape ({n},), got {xi.shape}")
     if not np.all(np.isfinite(xi)):
         raise ModelInputError("xi0 must be finite")
+    # the iterate fixes every later step, so one met before recurs forever
+    recurs = recurrence_check()
     for step in range(1, PHI_MAX_ITER + 1):
         nxt = phi(xi, M, alpha)
         gap = float(np.max(np.abs(nxt - xi)))
         xi = nxt
         if gap <= tol:
             return xi, step
+        if recurs(xi.tobytes()):
+            raise NoConvergenceError(
+                f"fixed-point iteration stalled with steps of {gap:.3e}, above tol = {tol:.3e}, "
+                f"after {step} steps: its iterates repeat at the rounding floor"
+            )
     raise NoConvergenceError(
         f"fixed-point iteration still moved more than {tol} after {PHI_MAX_ITER} steps"
     )
@@ -209,8 +219,8 @@ def solve_endemic(
 
     The bracket is certified up to rounding: at the floor its rows can
     cross by an ulp and cycle with the gap above tol. NoConvergenceError,
-    naming the width and tol, is raised as soon as the state recurs, and
-    after PHI_MAX_ITER iterations.
+    naming the width and tol, is raised as soon as the state recurs
+    (recurrence_check), and after PHI_MAX_ITER iterations.
 
     Returns NoEndemic when r0 - 1 <= R0_TOL. The eigensolve can be skipped
     by passing a precomputed SpectralResult for model.M. Raises
@@ -234,23 +244,18 @@ def solve_endemic(
     iterations = 0
     newton = False
     # (Y, newton) fixes every later iteration, so a state met before
-    # recurs forever with the gap above tol. Brent's check: compare each
-    # state with the one kept at the last power-of-two iteration, which
-    # finds a cycle of any period p entered at mu by iteration 2 max(mu, p) + p.
-    mark = None
+    # recurs forever with the gap above tol
+    recurs = recurrence_check()
     while gap > tol:
         if iterations >= PHI_MAX_ITER:
             raise NoConvergenceError(
                 f"equilibrium bracket still {gap:.3e} wide after {PHI_MAX_ITER} iterations"
             )
-        state = (Y.tobytes(), newton)
-        if state == mark:
+        if recurs((Y.tobytes(), newton)):
             raise NoConvergenceError(
                 f"equilibrium bracket stalled {gap:.3e} wide, above tol = {tol:.3e}, "
                 f"after {iterations} iterations: its rows repeat at the rounding floor"
             )
-        if iterations & (iterations - 1) == 0:
-            mark = state
         MY = np.matvec(M, Y)
         Y = _newton_fourier(M, alpha, Y, MY, tol) if newton else psi(MY, alpha)
         last, gap = gap, float(np.max(np.abs(Y[0] - Y[1])))

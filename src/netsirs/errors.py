@@ -31,6 +31,30 @@ def check_tol(tol: float) -> None:
         raise ModelInputError(f"tol must be positive and finite, got {tol}")
 
 
+def recurrence_check():
+    """A fresh predicate for the states of one deterministic loop, called
+    once per iteration from the first: it is True once the state equals
+    one met before, which then recurs forever, so the loop can stop at
+    once rather than at its cap.
+
+    Brent's check: each state is compared with the one kept at the last
+    power-of-two call, counted from 0, which finds a cycle of any period
+    p entered at call mu by call 2 max(mu, p) + p and keeps one state."""
+    mark = None
+    calls = 0
+
+    def recurs(state) -> bool:
+        nonlocal mark, calls
+        if state == mark:
+            return True
+        if calls & (calls - 1) == 0:
+            mark = state
+        calls += 1
+        return False
+
+    return recurs
+
+
 # --- input side ---------------------------------------------------------
 
 

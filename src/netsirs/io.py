@@ -69,8 +69,6 @@ def load_model(path: str) -> ModelInstance:
         raise ModelInputError(f"model file {path} has a non-string name: {name!r}")
     if W.shape != (n, n):
         raise DimensionMismatchError(f"W must be {n} x {n}, got shape {W.shape}")
-    if gamma.shape != (n,) or delta.shape != (n,):
-        raise DimensionMismatchError(f"rate vectors must have length {n}")
     return validate_model(W, gamma, delta, name=name)
 
 

@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ModelInputError,
-    NegativeEntryError,
-    NoConvergenceError,
-    ReducibleError,
-    check_tol,
-)
-from .model import ModelInstance, check_irreducible
+from .errors import NoConvergenceError, check_tol, recurrence_check
+from .model import ModelInstance
+from .model import check_irreducible  # noqa: F401  (perfbench/spans.py wraps this name)
 
 # most shifted solves one perron_bracket call may take
 MAX_SOLVES = 50
@@ -63,12 +58,16 @@ def perron_bracket(
     a singular solve, raises NoConvergenceError rather than being used.
     The loop stops once the ratios of the current x lie within tol of
     each other (a 1x1 B at once), and returns that x at unit 1-norm, its
-    ratio bracket (lower, upper) and the number of solves. It raises
-    NoConvergenceError after MAX_SOLVES solves.
+    ratio bracket (lower, upper) and the number of solves. (x, lo, hi)
+    fixes every later solve, so at the rounding floor, where the ratios
+    cannot close to tol, that state recurs: NoConvergenceError, naming the
+    width and tol, is raised as soon as it does (recurrence_check), and
+    after MAX_SOLVES solves.
     """
     eye = np.eye(B.shape[0])
     x = np.ones(B.shape[0])
     lo, hi = known
+    recurs = recurrence_check()
     for solves in range(MAX_SOLVES + 1):
         ratios = (B @ x) / x
         lower, upper = float(ratios.min()), float(ratios.max())
@@ -76,6 +75,12 @@ def perron_bracket(
             return x / x.sum(), lower, upper, solves
         if solves == MAX_SOLVES:
             break
+        if recurs(x.tobytes() + np.array((lo, hi)).tobytes()):
+            raise NoConvergenceError(
+                f"Perron bracket [{lower:.17g}, {upper:.17g}] stalled {upper - lower:.3e} wide, "
+                f"above tol = {tol:.3e}, after {solves} solves: its iterate repeats at the "
+                "rounding floor"
+            )
         lo, hi = max(lo, lower), min(hi, upper)
         try:
             x = np.linalg.solve((hi + max(0.01 * (hi - lo), tol)) * eye - B, x)
@@ -89,47 +94,24 @@ def perron_bracket(
     )
 
 
-def _perron(M: np.ndarray, tol: float) -> SpectralResult:
+def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float, SpectralResult]:
+    """Reproduction number R0 = rho(M) together with the full eigenpair.
+
+    perron_bracket runs on M for v_right and then on M^T for v_left,
+    whose shift starts from the right bracket, so the left side closes in
+    one or two solves. Inverse iteration needs no primitive matrix, so a
+    periodic support (a two-cycle, a directed ring) converges like any
+    other. R0 is reported as the ratio v_left' M v_right / v_left' v_right,
+    which the brackets pin to the same accuracy. A ModelInstance comes
+    only from validate_model, which has already proved M finite,
+    nonnegative and irreducible, so no check is repeated. Raises
+    ModelInputError when tol is not positive and finite.
+    """
     check_tol(tol)
-    # the right bracket pins sigma for the left side, which then closes
-    # in one or two solves
+    M = model.M
     v_right, lower, upper, right = perron_bracket(M, tol)
     v_left, _, _, left = perron_bracket(M.T, tol, known=(lower, upper))
     lam = float(v_left @ (M @ v_right) / (v_left @ v_right))
     residual = float(np.max(np.abs(M @ v_right - lam * v_right)))
-    return SpectralResult(lam=lam, v_right=v_right, v_left=v_left,
-                          iterations=right + left, residual=residual)
-
-
-def dominant_eigen(M: np.ndarray, tol: float = 1e-10) -> SpectralResult:
-    """Dominant eigenvalue and positive eigenvectors of an irreducible M >= 0.
-
-    perron_bracket runs on M for v_right and then on M^T for v_left,
-    whose shift starts from the right bracket. Inverse iteration needs no
-    primitive matrix, so a periodic support (a two-cycle, a directed ring)
-    converges like any other. The eigenvalue is reported as the ratio
-    v_left' M v_right / v_left' v_right, which the brackets pin to the
-    same accuracy. Before any solve it raises ModelInputError when an
-    entry of M is not finite, NegativeEntryError when one is negative,
-    ReducibleError when the support of M is not strongly connected, and
-    ModelInputError when tol is not positive and finite.
-    """
-    M = np.asarray(M, dtype=float)
-    if not np.isfinite(M).all():
-        raise ModelInputError("M must be finite")
-    if np.any(M < 0.0):
-        raise NegativeEntryError(f"M has a negative entry, {M.min()}")
-    if not check_irreducible(M):
-        raise ReducibleError("dominant eigenpair needs an irreducible matrix")
-    return _perron(M, tol)
-
-
-def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float, SpectralResult]:
-    """Reproduction number R0 = rho(M) together with the full eigenpair.
-
-    A ModelInstance comes only from validate_model, which has already
-    proved the support strongly connected, so the check is not repeated.
-    Raises ModelInputError when tol is not positive and finite.
-    """
-    res = _perron(model.M, tol)
-    return res.lam, res
+    return lam, SpectralResult(lam=lam, v_right=v_right, v_left=v_left,
+                               iterations=right + left, residual=residual)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from netsirs import ModelInstance, validate_model
+from netsirs import ModelInstance, SpectralResult, reproduction_number, validate_model
 
 # Five-node reference network used throughout the suite ("ref5"): strongly
 # connected with heterogeneous recovery and heavy asymmetry, unit curing
@@ -29,6 +29,14 @@ OVERFLOW_MODELS = (
     ([[0.0, 1.0], [1.0, 0.0]], [1e-320, 1.0], [1.0, 1.0]),
     ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], [1e-320, 1.0]),
 )
+
+
+def perron_pair(M) -> SpectralResult:
+    """The Perron pair of a bare matrix M, as the model with W = M and unit
+    rates: there M = W / 1.0 is M bit for bit, and validate_model judges
+    the matrix."""
+    ones = np.ones(len(M))
+    return reproduction_number(validate_model(M, ones, ones))[1]
 
 
 def ref5() -> ModelInstance:

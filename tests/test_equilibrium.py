@@ -19,7 +19,6 @@ from netsirs import (
     NoEndemic,
     OutOfCapError,
     R0_TOL,
-    dominant_eigen,
     iterate_phi,
     jacobian_endemic,
     load_model,
@@ -120,6 +119,20 @@ def test_iterate_phi_raises_when_budget_too_small(out_regular3, monkeypatch):
         iterate_phi(out_regular3.ybar, out_regular3.M, out_regular3.alpha)
 
 
+@pytest.mark.parametrize("tol", [1e-17, 1e-18])
+def test_iterate_phi_stops_when_its_iterate_recurs(tol):
+    """From five_node's cap the iterates reach steps of 2.8e-17 and cycle
+    there, so below that the run raises as soon as an iterate recurs,
+    naming the step and tol, where it used to take all PHI_MAX_ITER steps
+    (about 13 s)."""
+    m = load_model(FIVE_NODE)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError,
+                       match=rf"stalled with steps of \S+, above tol = {tol:.3e}, after \d+ steps"):
+        iterate_phi(m.ybar, m.M, m.alpha, tol=tol)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("xi0", [[0.1, float("nan"), 0.1], [0.1, 0.1]], ids=["nan", "short"])
 def test_iterate_phi_rejects_bad_start_before_stepping(out_regular3, monkeypatch, xi0):
     # a NaN start used to run the whole step budget and end in
@@ -133,7 +146,7 @@ def test_iterate_phi_rejects_bad_start_before_stepping(out_regular3, monkeypatch
 
 
 def test_lower_bracket_start_expands(ref5):
-    spec = dominant_eigen(ref5.M)
+    spec = reproduction_number(ref5)[1]
     xi = _lower_bracket_start(ref5, spec.v_right)
     assert np.all(xi > 0.0)
     assert np.all(phi(xi, ref5.M, ref5.alpha) >= xi)
@@ -162,7 +175,7 @@ def test_solve_endemic_respects_simplex(ref5):
 
 
 def test_solve_endemic_bracket_sequences_stay_ordered(ref5):
-    spec = dominant_eigen(ref5.M)
+    spec = reproduction_number(ref5)[1]
     upper = ref5.ybar.copy()
     lower = _lower_bracket_start(ref5, spec.v_right)
     for _ in range(200):

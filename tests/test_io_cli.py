@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -341,6 +342,32 @@ def test_cli_stalled_bracket_exits_two_at_once(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {_STALL}, after ")
+
+
+def test_cli_r0_stalled_bracket_exits_two_at_once(capsys):
+    """At --tol 1e-17 the five_node Perron bracket stalls 1.8e-15 wide and
+    its state recurs, so r0 exits 2 with one line naming the width and tol
+    before the 50-solve cap."""
+    start = time.perf_counter()
+    assert netsirs.cli.main(["r0", "--model", FIVE_NODE, "--tol", "1e-17"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert captured.err == line + "\n"
+    match = re.fullmatch(r"error: NoConvergenceError: Perron bracket \[\S+, \S+\] stalled \S+ wide, "
+                         r"above tol = 1\.000e-17, after (\d+) solves: its iterate repeats at the "
+                         r"rounding floor", line)
+    assert match and int(match[1]) < 50
+
+
+def test_cli_names_a_short_rate_vector(tmp_path, capsys):
+    # validate_model alone judges the rate vectors once W fits n
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"n": 2, "W": [[0, 1], [1, 0]], "gamma": [1], "delta": [1, 1]}))
+    assert netsirs.cli.main(["r0", "--model", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: DimensionMismatchError: rate vectors must have shape (2,), got (1,) and (2,)\n")
 
 
 # sha256 of `netsirs sweep` CSVs on five_node, recorded when solve_endemic

@@ -14,7 +14,6 @@ from netsirs import (
     NegativeEntryError,
     NoConvergenceError,
     ReducibleError,
-    dominant_eigen,
     load_model,
     reproduction_number,
     validate_model,
@@ -28,7 +27,7 @@ def test_two_node_chain_eigenpair():
     # dominant eigenvalue of [[0,2],[1,0]] is sqrt(2) with right vector
     # proportional to (sqrt(2), 1)
     M = np.array([[0.0, 2.0], [1.0, 0.0]])
-    res = dominant_eigen(M)
+    res = helpers.perron_pair(M)
     assert res.lam == pytest.approx(np.sqrt(2.0), abs=1e-9)
     expected = np.array([np.sqrt(2.0), 1.0])
     expected /= expected.sum()
@@ -41,14 +40,14 @@ def test_periodic_swap_converges():
     """The plain power ratio oscillates on [[0,1],[1,0]]; the shifted
     iteration must still settle on eigenvalue 1."""
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = dominant_eigen(M)
+    res = helpers.perron_pair(M)
     assert res.lam == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.v_right, [0.5, 0.5], atol=1e-8)
     assert np.allclose(res.v_left, [0.5, 0.5], atol=1e-8)
 
 
 def test_single_node_shortcut():
-    res = dominant_eigen(np.array([[3.0]]))
+    res = helpers.perron_pair(np.array([[3.0]]))
     assert res.lam == 3.0
     assert res.v_right[0] == 1.0
     assert res.residual == 0.0
@@ -71,7 +70,7 @@ def test_collatz_wielandt_rejects_zero_component():
 def test_reducible_matrix_rejected():
     M = np.array([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(ReducibleError):
-        dominant_eigen(M)
+        helpers.perron_pair(M)
 
 
 @pytest.mark.parametrize("M, error", [
@@ -80,11 +79,12 @@ def test_reducible_matrix_rejected():
     ([[0.0, np.nan], [1.0, 0.0]], ModelInputError),
     ([[-2.0]], NegativeEntryError),
 ])
-def test_dominant_eigen_rejects_matrices_outside_its_contract(M, error):
-    # a negative entry used to give a negative "dominant" eigenvalue with a
-    # sign-changing vector, an infinite one a RuntimeWarning and garbage
+def test_perron_pair_rejects_bad_matrices(M, error):
+    # validate_model judges the matrix before any solve: a negative entry
+    # would give a negative "dominant" eigenvalue with a sign-changing
+    # vector, an infinite one a RuntimeWarning and garbage
     with pytest.raises(error):
-        dominant_eigen(np.array(M))
+        helpers.perron_pair(np.array(M))
 
 
 def _assert_matches_oracles(res, M, tol=1e-10):
@@ -109,7 +109,7 @@ def _assert_matches_oracles(res, M, tol=1e-10):
 def test_perron_pair_matches_oracles_on_reference_models(ref5):
     _assert_matches_oracles(reproduction_number(ref5)[1], ref5.M)
     two_cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
-    _assert_matches_oracles(dominant_eigen(two_cycle), two_cycle)
+    _assert_matches_oracles(helpers.perron_pair(two_cycle), two_cycle)
 
 
 @settings(deadline=None)
@@ -185,8 +185,9 @@ def test_perron_bracket_closes_at_the_default_tol_over_many_decades(tol):
     1e5,
     pytest.param(1e6, marks=pytest.mark.xfail(
         raises=NoConvergenceError, strict=True,
-        reason="the tol is absolute: the bracket stalls at "
-               "[999999.99999999988, 1000000.0000000001] after 50 solves; ROADMAP item 1")),
+        reason="the tol is absolute: the bracket stalls 2.3e-10 wide at "
+               "[999999.99999999988, 1000000.0000000001] and its state recurs at solve 17; "
+               "ROADMAP item 1")),
 ])
 def test_r0_of_five_node_scaled_to_a_large_r0(target):
     """five_node with W scaled to R0 = target: at the default tol R0 lies
@@ -214,7 +215,7 @@ def test_random_matrices_match_char_poly_oracle(rng):
     for _ in range(25):
         n = int(rng.integers(2, 6))
         m = helpers.random_supercritical(rng, n, r0_target=float(rng.uniform(0.5, 4.0)))
-        res = dominant_eigen(m.M)
+        res = reproduction_number(m)[1]
         oracle = oracles.char_poly_dominant_root(m.M)
         assert res.lam == pytest.approx(oracle, abs=1e-8)
         assert res.residual <= 1e-10

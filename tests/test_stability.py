@@ -26,7 +26,6 @@ from netsirs import (
     UNSTABLE,
     default_lambda_samples,
     dfe_abscissa,
-    dominant_eigen,
     endemic_certificate,
     eta_bound,
     gershgorin_certificate,
@@ -448,7 +447,7 @@ def test_dfe_verdict_follows_r0_and_r0_is_linear_in_w(n, seed, r0, scale):
 
 def test_lyapunov_nonincreasing_subcritical(rng):
     sub = helpers.out_regular(n=3, row_sum=0.8)
-    spec = dominant_eigen(sub.M)
+    spec = reproduction_number(sub)[1]
     for _ in range(100):
         y = rng.uniform(0.0, 0.5, size=3)
         z = rng.uniform(0.0, 0.5, size=3)
@@ -459,7 +458,7 @@ def test_lyapunov_nonincreasing_subcritical(rng):
 
 def test_lyapunov_derivative_matches_finite_differences():
     sub = helpers.out_regular(n=3, row_sum=0.8)
-    spec = dominant_eigen(sub.M)
+    spec = reproduction_number(sub)[1]
     cfg = IntegratorConfig(dt=5e-4, t_end=0.5)
     traj = simulate(sub, np.array([0.3, 0.1, 0.0]), np.array([0.0, 0.2, 0.1]), cfg)
     trace = lyapunov_value(sub, traj.y, spec)
@@ -470,7 +469,7 @@ def test_lyapunov_derivative_matches_finite_differences():
 
 
 def test_lyapunov_grows_near_unstable_dfe(ref5):
-    spec = dominant_eigen(ref5.M)
+    spec = reproduction_number(ref5)[1]
     y = 1e-6 * spec.v_right
     assert lyapunov_derivative(ref5, y, np.zeros(5), spectral=spec) > 0.0
 
@@ -513,7 +512,7 @@ def test_lyapunov_functions_on_a_block_equal_row_by_row_calls(rng):
     """On an (m, n) block each row of the result equals the call on that
     row's vectors, bit for bit; a vector call gives a float."""
     model, b = helpers.rank_one_model(rng, 4, r0_target=3.0)
-    spec = dominant_eigen(model.M)
+    spec = reproduction_number(model)[1]
     eq = solve_endemic(model)
     traj = simulate(model, np.array([0.2, 0.05, 0.1, 0.3]), np.array([0.1, 0.1, 0.0, 0.2]),
                     IntegratorConfig(dt=0.01, t_end=5.0, record_every=7))
