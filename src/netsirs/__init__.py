@@ -50,7 +50,6 @@ from .dynamics import (
     SIMPLEX_VIOLATION_TOL,
     IntegratorConfig,
     Trajectory,
-    residual,
     rhs,
     simulate,
 )
@@ -71,16 +70,13 @@ from .stability import (
     lyapunov_derivative,
     lyapunov_value,
     rank_one_lyapunov,
-    schur_matrix,
     spectral_abscissa,
 )
 from .io import (
     SWEEP_HEADER,
     load_initial,
     load_model,
-    model_to_dict,
     sample_initial_states,
-    save_model,
     trajectory_header,
     write_sweep_csv,
     write_trajectory_csv,

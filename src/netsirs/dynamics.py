@@ -97,12 +97,6 @@ def rhs(model: ModelInstance, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray,
     return ydot, zdot
 
 
-def residual(model: ModelInstance, y: np.ndarray, z: np.ndarray) -> float:
-    """Stationarity defect max(||ydot||_inf, ||zdot||_inf) at (y, z)."""
-    ydot, zdot = rhs(model, y, z)
-    return float(max(np.max(np.abs(ydot)), np.max(np.abs(zdot))))
-
-
 def simulate(
     model: ModelInstance,
     y0: np.ndarray,

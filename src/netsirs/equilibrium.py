@@ -22,6 +22,7 @@ end: Phi(u) <= u above, Phi(l) >= l > 0 below.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,9 @@ from .errors import (
     DimensionMismatchError,
     EpsilonStarNotFoundError,
     ModelInputError,
-    NoConvergenceError,
     OutOfCapError,
     check_tol,
-    recurrence_check,
+    stop_rule,
 )
 from .model import ModelInstance
 from .spectral import SpectralResult, reproduction_number
@@ -105,12 +105,12 @@ def iterate_phi(
     """Iterate Phi from xi0 until the step size drops to tol.
 
     Returns the final iterate and the number of steps taken; no iterate
-    history is kept. Raises NoConvergenceError, naming the last step and
-    tol, as soon as an iterate recurs (at the rounding floor the steps can
-    cycle above tol; recurrence_check), and when PHI_MAX_ITER applications
-    of the map still leave steps above tol. Raises ModelInputError, before
-    the first step, when tol is not positive and finite or xi0 is not a
-    finite vector of length n = M.shape[0].
+    history is kept. The iterate fixes every later step, so at the
+    rounding floor, where the steps can cycle above tol, it recurs;
+    stop_rule raises as soon as it does, and when PHI_MAX_ITER
+    applications of the map still leave steps above tol. Raises
+    ModelInputError, before the first step, when tol is not positive and
+    finite or xi0 is not a finite vector of length n = M.shape[0].
     """
     check_tol(tol)
     xi = np.array(xi0, dtype=float)
@@ -119,22 +119,14 @@ def iterate_phi(
         raise DimensionMismatchError(f"xi0 must have shape ({n},), got {xi.shape}")
     if not np.all(np.isfinite(xi)):
         raise ModelInputError("xi0 must be finite")
-    # the iterate fixes every later step, so one met before recurs forever
-    recurs = recurrence_check()
-    for step in range(1, PHI_MAX_ITER + 1):
+    closed = stop_rule(tol, PHI_MAX_ITER, "steps")
+    gap = np.inf
+    for step in itertools.count():
+        if closed(step, gap, xi.tobytes(), "fixed-point step"):
+            return xi, step
         nxt = phi(xi, M, alpha)
         gap = float(np.max(np.abs(nxt - xi)))
         xi = nxt
-        if gap <= tol:
-            return xi, step
-        if recurs(xi.tobytes()):
-            raise NoConvergenceError(
-                f"fixed-point iteration stalled with steps of {gap:.3e}, above tol = {tol:.3e}, "
-                f"after {step} steps: its iterates repeat at the rounding floor"
-            )
-    raise NoConvergenceError(
-        f"fixed-point iteration still moved more than {tol} after {PHI_MAX_ITER} steps"
-    )
 
 
 def _lower_bracket_start(model: ModelInstance, v_right: np.ndarray) -> np.ndarray:
@@ -218,9 +210,9 @@ def solve_endemic(
     iterations of either kind.
 
     The bracket is certified up to rounding: at the floor its rows can
-    cross by an ulp and cycle with the gap above tol. NoConvergenceError,
-    naming the width and tol, is raised as soon as the state recurs
-    (recurrence_check), and after PHI_MAX_ITER iterations.
+    cross by an ulp and cycle with the gap above tol. (Y, newton) fixes
+    every later iteration, so stop_rule raises as soon as that state
+    recurs, and after PHI_MAX_ITER iterations.
 
     Returns NoEndemic when r0 - 1 <= R0_TOL. The eigensolve can be skipped
     by passing a precomputed SpectralResult for model.M. Raises
@@ -243,19 +235,8 @@ def solve_endemic(
     gap = float(np.max(np.abs(Y[0] - Y[1])))
     iterations = 0
     newton = False
-    # (Y, newton) fixes every later iteration, so a state met before
-    # recurs forever with the gap above tol
-    recurs = recurrence_check()
-    while gap > tol:
-        if iterations >= PHI_MAX_ITER:
-            raise NoConvergenceError(
-                f"equilibrium bracket still {gap:.3e} wide after {PHI_MAX_ITER} iterations"
-            )
-        if recurs((Y.tobytes(), newton)):
-            raise NoConvergenceError(
-                f"equilibrium bracket stalled {gap:.3e} wide, above tol = {tol:.3e}, "
-                f"after {iterations} iterations: its rows repeat at the rounding floor"
-            )
+    closed = stop_rule(tol, PHI_MAX_ITER, "iterations")
+    while not closed(iterations, gap, (Y.tobytes(), newton), "equilibrium bracket"):
         MY = np.matvec(M, Y)
         Y = _newton_fourier(M, alpha, Y, MY, tol) if newton else psi(MY, alpha)
         last, gap = gap, float(np.max(np.abs(Y[0] - Y[1])))

@@ -31,30 +31,6 @@ def check_tol(tol: float) -> None:
         raise ModelInputError(f"tol must be positive and finite, got {tol}")
 
 
-def recurrence_check():
-    """A fresh predicate for the states of one deterministic loop, called
-    once per iteration from the first: it is True once the state equals
-    one met before, which then recurs forever, so the loop can stop at
-    once rather than at its cap.
-
-    Brent's check: each state is compared with the one kept at the last
-    power-of-two call, counted from 0, which finds a cycle of any period
-    p entered at call mu by call 2 max(mu, p) + p and keeps one state."""
-    mark = None
-    calls = 0
-
-    def recurs(state) -> bool:
-        nonlocal mark, calls
-        if state == mark:
-            return True
-        if calls & (calls - 1) == 0:
-            mark = state
-        calls += 1
-        return False
-
-    return recurs
-
-
 # --- input side ---------------------------------------------------------
 
 
@@ -115,3 +91,36 @@ class SimplexViolationError(NumericalError):
 
 class EigenFailureError(NumericalError):
     """The dense eigensolver did not converge."""
+
+
+def stop_rule(tol: float, cap: int, unit: str):
+    """The stop test of one deterministic loop: a fresh predicate
+    closed(count, width, state, name), called once per iteration before
+    its step with count = 0, 1, 2, ... It is True once width <= tol.
+    Otherwise it raises NoConvergenceError, naming the loop, the width,
+    tol and the count in unit, at count == cap, or at once when state
+    equals an earlier one: the state fixes every later iteration, so it
+    recurs forever and the loop can never close.
+
+    Brent's cycle check (BIT 20, 1980): each state is compared with the
+    one kept at the last power-of-two count, which finds a cycle of any
+    period p entered at count mu by count 2 max(mu, p) + p and keeps one
+    state."""
+    mark = None
+
+    def closed(count: int, width: float, state, name: str) -> bool:
+        nonlocal mark
+        if width <= tol:
+            return True
+        if count == cap:
+            raise NoConvergenceError(f"{name} did not close to {tol:.3g} in {cap} {unit}")
+        if state == mark:
+            raise NoConvergenceError(
+                f"{name} stalled {width:.3e} wide, above tol = {tol:.3e}, after {count} {unit}: "
+                "its state repeats at the rounding floor"
+            )
+        if count & (count - 1) == 0:
+            mark = state
+        return False
+
+    return closed

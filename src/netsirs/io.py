@@ -1,9 +1,8 @@
 """File formats: model JSON, initial-condition JSON, trajectory and sweep CSV.
 
 Model files carry {"n", "W", "gamma", "delta"} plus an optional "name".
-Serialization uses Python's shortest round-trip float repr, so a load and
-re-save is field-identical. CSV numbers are written with 12 significant
-digits, enough to compare runs while keeping files readable.
+CSV numbers are written with 12 significant digits, enough to compare
+runs while keeping files readable.
 """
 
 from __future__ import annotations
@@ -22,8 +21,9 @@ def _numbers(value, what: str, literals: bool) -> np.ndarray:
 
     numpy's dtype inference refuses strings, nulls, objects, all-boolean
     lists and integers too large for 64 bits, but reads a boolean among
-    numbers as 0 or 1, so each row is scanned for booleans too when the
-    file text has a true or false literal; ModelInputError otherwise.
+    numbers as 0 or 1, so every entry, at any depth, is scanned for
+    booleans too when the file text has a true or false literal;
+    ModelInputError otherwise.
     """
     try:
         arr = np.asarray(value)
@@ -31,8 +31,7 @@ def _numbers(value, what: str, literals: bool) -> np.ndarray:
         raise ModelInputError(f"{what} is malformed: {exc}") from exc
     if arr.dtype.kind not in "iuf":
         raise ModelInputError(f"{what} must hold JSON numbers only, got {arr.dtype} entries")
-    rows = value if arr.ndim == 2 else [value] if arr.ndim == 1 else []
-    if literals and any(bool in set(map(type, row)) for row in rows):
+    if literals and bool in set(map(type, np.asarray(value, dtype=object).ravel())):
         raise ModelInputError(f"{what} must hold JSON numbers only, got a boolean entry")
     return arr.astype(float, copy=False)
 
@@ -70,24 +69,6 @@ def load_model(path: str) -> ModelInstance:
     if W.shape != (n, n):
         raise DimensionMismatchError(f"W must be {n} x {n}, got shape {W.shape}")
     return validate_model(W, gamma, delta, name=name)
-
-
-def model_to_dict(model: ModelInstance) -> dict:
-    out = {
-        "n": model.n,
-        "W": [[float(v) for v in row] for row in model.W],
-        "gamma": [float(v) for v in model.gamma],
-        "delta": [float(v) for v in model.delta],
-    }
-    if model.name is not None:
-        out["name"] = model.name
-    return out
-
-
-def save_model(model: ModelInstance, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
 
 
 def load_initial(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -12,11 +12,12 @@ loop, and both roots go through it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, check_tol, recurrence_check
+from .errors import NoConvergenceError, check_tol, stop_rule
 from .model import ModelInstance
 from .model import check_irreducible  # noqa: F401  (perfbench/spans.py wraps this name)
 
@@ -60,27 +61,19 @@ def perron_bracket(
     each other (a 1x1 B at once), and returns that x at unit 1-norm, its
     ratio bracket (lower, upper) and the number of solves. (x, lo, hi)
     fixes every later solve, so at the rounding floor, where the ratios
-    cannot close to tol, that state recurs: NoConvergenceError, naming the
-    width and tol, is raised as soon as it does (recurrence_check), and
-    after MAX_SOLVES solves.
+    cannot close to tol, that state recurs; stop_rule raises as soon as
+    it does, and after MAX_SOLVES solves.
     """
     eye = np.eye(B.shape[0])
     x = np.ones(B.shape[0])
     lo, hi = known
-    recurs = recurrence_check()
-    for solves in range(MAX_SOLVES + 1):
+    closed = stop_rule(tol, MAX_SOLVES, "solves")
+    for solves in itertools.count():
         ratios = (B @ x) / x
         lower, upper = float(ratios.min()), float(ratios.max())
-        if upper - lower <= tol:
+        if closed(solves, upper - lower, x.tobytes() + np.array((lo, hi)).tobytes(),
+                  f"Perron bracket [{lower:.17g}, {upper:.17g}]"):
             return x / x.sum(), lower, upper, solves
-        if solves == MAX_SOLVES:
-            break
-        if recurs(x.tobytes() + np.array((lo, hi)).tobytes()):
-            raise NoConvergenceError(
-                f"Perron bracket [{lower:.17g}, {upper:.17g}] stalled {upper - lower:.3e} wide, "
-                f"above tol = {tol:.3e}, after {solves} solves: its iterate repeats at the "
-                "rounding floor"
-            )
         lo, hi = max(lo, lower), min(hi, upper)
         try:
             x = np.linalg.solve((hi + max(0.01 * (hi - lo), tol)) * eye - B, x)
@@ -89,9 +82,6 @@ def perron_bracket(
         if not np.minimum.reduce(x) > 0.0:
             raise NoConvergenceError("shifted solve lost positivity; the Perron bracket is open")
         x /= x.sum()
-    raise NoConvergenceError(
-        f"Perron bracket [{lower:.17g}, {upper:.17g}] did not close to {tol:.3g} in {MAX_SOLVES} solves"
-    )
 
 
 def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float, SpectralResult]:

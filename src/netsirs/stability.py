@@ -170,39 +170,6 @@ def eta_bound(model: ModelInstance, y_star: np.ndarray) -> float:
     return float(min(wy.min(), model.delta.min()))
 
 
-def _pole_shifts(model: ModelInstance, lam: complex | np.ndarray) -> np.ndarray:
-    """delta + lam, for one shift or an (S, 1) column of them; raises
-    SingularShiftError when a lam is a pole -delta_i, that is, within
-    1e-13 delta_i of it. The test is relative, so lam = 0 is never a pole,
-    however small delta_i is."""
-    shifts = model.delta + lam
-    if np.any(np.abs(shifts) <= 1e-13 * model.delta):
-        raise SingularShiftError("lam coincides with -delta_i")
-    return shifts
-
-
-def schur_matrix(model: ModelInstance, y_star: np.ndarray, lam: complex) -> np.ndarray:
-    """Schur complement of the recovered block in the shifted Jacobian,
-
-        S(lam) = [x*] W - [W y*] - [gamma] - lam I
-                 - [gamma] ([delta] + lam I)^-1 [W y*],
-
-    whose zeros in det coincide with the Jacobian eigenvalues off the set
-    {-delta_i}. Defined whenever no delta_i + lam vanishes; raises
-    SingularShiftError at those poles.
-    """
-    y = np.asarray(y_star, dtype=float)
-    lam = complex(lam)
-    shifts = _pole_shifts(model, lam)
-    z = model.alpha * y
-    x = 1.0 - y - z
-    wy = model.W @ y
-    S = (x[:, None] * model.W).astype(complex)
-    diag = wy + model.gamma + lam + model.gamma * wy / shifts
-    S[np.diag_indices_from(S)] -= diag
-    return S
-
-
 # random shifts default_lambda_samples draws beside its fixed ones
 LAMBDA_RANDOM_SAMPLES = 20
 
@@ -230,8 +197,12 @@ def gershgorin_certificate(
     y_star: np.ndarray,
     lambda_samples: list[complex],
 ) -> list[GershgorinSample]:
-    """Disk check of H(lam) = S(lam) [y_star] at each sample.
+    """Disk check of H(lam) = S(lam) [y_star] at each sample, where
 
+        S(lam) = [x*] W - [W y*] - [gamma] - lam I - [gamma] ([delta] + lam I)^-1 [W y*]
+
+    is the Schur complement of the recovered block in the shifted
+    Jacobian, whose zeros in det are its eigenvalues off {-delta_i}.
     Off-diagonal entries H_kj = x*_k W_kj y*_j are real and nonnegative,
     so the row radius is their plain sum R_k. The certificate at lam
     verifies Re(H_kk) < -R_k for every k, which keeps each disk, hence
@@ -256,16 +227,21 @@ def gershgorin_certificate(
     eta = eta_bound(model, y)
     lams = np.asarray(lambda_samples, dtype=complex).reshape(-1)
     # the first offending sample raises: a pole before the first sample
-    # outside the half-plane is a SingularShiftError, else ModelInputError
+    # outside the half-plane is a SingularShiftError, else ModelInputError.
+    # A pole is a lam within 1e-13 delta_i of -delta_i, a relative test, so
+    # lam = 0 is never one, however small delta_i is.
     outside = np.flatnonzero(lams.real <= -eta)
-    shifts = _pole_shifts(model, lams[:outside[0] if outside.size else None, None])
+    shifts = model.delta + lams[:outside[0] if outside.size else None, None]
+    if np.any(np.abs(shifts) <= 1e-13 * model.delta):
+        raise SingularShiftError("lam coincides with -delta_i")
     if outside.size:
         lam = complex(lams[outside[0]])
         raise ModelInputError(f"sample {lam} lies outside the half-plane Re > {-eta:.6g}")
-    # The terms of schur_matrix that do not depend on lam, formed once:
-    # the radii R_k are the off-diagonal row sums of |x*_k W_kj y*_j|,
-    # and each sample adds only its diagonal H_kk, so every float equals
-    # the one from schur_matrix(model, y, lam) * y with its diagonal zeroed.
+    # The terms of S(lam) that do not depend on lam, formed once: the
+    # radii R_k are the off-diagonal row sums of |x*_k W_kj y*_j|, and
+    # each sample adds only its diagonal H_kk, so every float equals the
+    # one from the full S(lam) [y*] (tests/oracles.py::schur_matrix) with
+    # its diagonal zeroed.
     x = 1.0 - y - model.alpha * y
     wy = model.W @ y
     base = wy + model.gamma

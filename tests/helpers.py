@@ -1,6 +1,8 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders and the model-file writer for the test suite."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -37,6 +39,17 @@ def perron_pair(M) -> SpectralResult:
     the matrix."""
     ones = np.ones(len(M))
     return reproduction_number(validate_model(M, ones, ones))[1]
+
+
+def save_model(model: ModelInstance, path) -> None:
+    """Write model as a model JSON file; json writes each float in its
+    shortest round-trip repr, so load_model reads back the same arrays."""
+    data = {"n": model.n, "W": model.W.tolist(), "gamma": model.gamma.tolist(),
+            "delta": model.delta.tolist()}
+    if model.name is not None:
+        data["name"] = model.name
+    with open(path, "w") as fh:
+        json.dump(data, fh)
 
 
 def ref5() -> ModelInstance:

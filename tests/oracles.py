@@ -5,7 +5,10 @@ by boolean matrix powers instead of breadth-first sweeps, the dominant
 eigenvalue by bisection on a cofactor-expansion characteristic polynomial
 or by plain power sweeps instead of shifted inverse iteration, the Perron
 roots of a directed ring from its closed-form characteristic equation,
-Jacobians by central differences, fixed points by an exhaustive grid scan
+Jacobians by central differences, the Schur complement of the shifted
+Jacobian as a full matrix per shift instead of shift-free radii and one
+block of diagonals, the stationarity residual from the plain field
+expressions, fixed points by an exhaustive grid scan
 polished with Newton steps, RK4 steps as plain array expressions instead
 of the preallocated in-place loop, the equilibrium bracket as two
 serial Phi sequences instead of one stacked pair with Newton-Fourier
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from netsirs import SingularShiftError
 
 
 def reachability_strongly_connected(W: np.ndarray) -> bool:
@@ -165,6 +170,38 @@ def finite_diff_jacobian(f, u0: np.ndarray, h: float = 1e-6) -> np.ndarray:
         dn[j] -= h
         J[:, j] = (f(up) - f(dn)) / (2.0 * h)
     return J
+
+
+def residual(model, y: np.ndarray, z: np.ndarray) -> float:
+    """Stationarity defect max(||ydot||_inf, ||zdot||_inf) at (y, z)."""
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    ydot = (1.0 - y - z) * (model.W @ y) - model.gamma * y
+    zdot = model.gamma * y - model.delta * z
+    return float(max(np.max(np.abs(ydot)), np.max(np.abs(zdot))))
+
+
+def schur_matrix(model, y_star: np.ndarray, lam: complex) -> np.ndarray:
+    """Schur complement of the recovered block in the shifted Jacobian,
+
+        S(lam) = [x*] W - [W y*] - [gamma] - lam I
+                 - [gamma] ([delta] + lam I)^-1 [W y*],
+
+    whose zeros in det coincide with the Jacobian eigenvalues off the set
+    {-delta_i}. Raises SingularShiftError at a pole, a lam within
+    1e-13 delta_i of some -delta_i, as gershgorin_certificate does."""
+    y = np.asarray(y_star, dtype=float)
+    lam = complex(lam)
+    shifts = model.delta + lam
+    if np.any(np.abs(shifts) <= 1e-13 * model.delta):
+        raise SingularShiftError("lam coincides with -delta_i")
+    z = model.alpha * y
+    x = 1.0 - y - z
+    wy = model.W @ y
+    S = (x[:, None] * model.W).astype(complex)
+    diag = wy + model.gamma + lam + model.gamma * wy / shifts
+    S[np.diag_indices_from(S)] -= diag
+    return S
 
 
 def rk4_plain(model, y: np.ndarray, z: np.ndarray, dt: float, n_steps: int):

@@ -20,7 +20,6 @@ from netsirs import (
     load_model,
     lyapunov_value,
     reproduction_number,
-    residual,
     rhs,
     sample_initial_states,
     simulate,
@@ -47,13 +46,13 @@ def test_rhs_vanishes_at_origin(ref5):
 def test_residual_at_cap(out_regular3):
     # at (ybar, 0) with gamma = delta = 1 and row sums 2:
     # ydot = 0.5 * 1 - 0.5 = 0, zdot = 0.5
-    assert residual(out_regular3, out_regular3.ybar, np.zeros(3)) == pytest.approx(0.5)
+    assert oracles.residual(out_regular3, out_regular3.ybar, np.zeros(3)) == pytest.approx(0.5)
 
 
 def test_residual_small_at_endemic_point(ref5):
     eq = solve_endemic(ref5)
     assert isinstance(eq, EndemicEquilibrium)
-    assert residual(ref5, eq.y_star, eq.z_star) <= 1e-10
+    assert oracles.residual(ref5, eq.y_star, eq.z_star) <= 1e-10
 
 
 def test_config_rejects_bad_settings():

@@ -4,6 +4,7 @@ import math
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import netsirs.equilibrium
 import oracles
 from netsirs import (
     EndemicEquilibrium,
+    EpsilonStarNotFoundError,
     ModelInputError,
     NoConvergenceError,
     NoEndemic,
@@ -26,7 +28,6 @@ from netsirs import (
     psi,
     reconstruct_full,
     reproduction_number,
-    residual,
     run_sweep,
     solve_endemic,
     validate_model,
@@ -128,7 +129,7 @@ def test_iterate_phi_stops_when_its_iterate_recurs(tol):
     m = load_model(FIVE_NODE)
     start = time.perf_counter()
     with pytest.raises(NoConvergenceError,
-                       match=rf"stalled with steps of \S+, above tol = {tol:.3e}, after \d+ steps"):
+                       match=rf"stalled \S+ wide, above tol = {tol:.3e}, after \d+ steps"):
         iterate_phi(m.ybar, m.M, m.alpha, tol=tol)
     assert time.perf_counter() - start < 1.0
 
@@ -151,6 +152,15 @@ def test_lower_bracket_start_expands(ref5):
     assert np.all(xi > 0.0)
     assert np.all(phi(xi, ref5.M, ref5.alpha) >= xi)
     assert np.all(xi <= ref5.ybar)
+
+
+def test_solve_endemic_raises_when_phi_never_expands_the_start():
+    """Along e_2 of five_node Phi shrinks every scale of the start, as
+    M[1, 1] = 0.4 < 1, so the halving runs out of scales."""
+    model = load_model(FIVE_NODE)
+    spec = reproduction_number(model)[1]
+    with pytest.raises(EpsilonStarNotFoundError, match="no positive scale made Phi expand"):
+        solve_endemic(model, spectral=replace(spec, v_right=np.eye(5)[1]))
 
 
 def test_solve_endemic_uniform_closed_form(out_regular3):
@@ -346,7 +356,7 @@ def test_solve_endemic_certified_bracket(n, seed, log_excess):
     assert isinstance(solved, EndemicEquilibrium)
     assert solved.bracket_gap <= TOL
     assert np.all(solved.y_star > 0.0)
-    assert residual(model, solved.y_star, solved.z_star) <= 100.0 * TOL
+    assert oracles.residual(model, solved.y_star, solved.z_star) <= 100.0 * TOL
     jacobian_endemic(model, solved.y_star, solved.z_star, tol=TOL)
     if spectral.lam >= 1.01:
         y_star, iterations, gap, halving = oracles.bracket_serial(model, spectral.v_right, TOL)

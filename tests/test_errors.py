@@ -2,11 +2,20 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
+import re
 from pathlib import Path
 
+import pytest
+
 import netsirs
+import netsirs.equilibrium
 import netsirs.errors
-from netsirs.errors import recurrence_check
+import netsirs.spectral
+from netsirs import NoConvergenceError, iterate_phi, load_model, reproduction_number, solve_endemic
+from netsirs.errors import stop_rule
+
+FIVE_NODE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_node.json")
 
 
 def _raised_names() -> set[str]:
@@ -30,14 +39,20 @@ def test_every_leaf_error_type_is_raised():
 
 
 def _first_flag(states) -> int | None:
-    """The call at which a fresh recurrence_check first returns True."""
-    recurs = recurrence_check()
-    return next((call for call, state in enumerate(states) if recurs(state)), None)
+    """The count at which a fresh stop_rule, its width never closing and
+    its cap never reached, first raises for a repeated state."""
+    closed = stop_rule(0.0, -1, "calls")
+    for count, state in enumerate(states):
+        try:
+            closed(count, 1.0, state, "loop")
+        except NoConvergenceError:
+            return count
+    return None
 
 
-def test_recurrence_check_finds_every_cycle_within_brents_bound():
+def test_stop_rule_finds_every_cycle_within_brents_bound():
     # states 0, 1, ..., mu - 1, then mu, ..., mu + p - 1 over and over, as
-    # bytes like the loops pass; the first repeat is at call mu + p
+    # bytes like the loops pass; the first repeat is at count mu + p
     for period in range(1, 8):
         for entry in range(41):
             states = [(k if k < entry else entry + (k - entry) % period).to_bytes(8)
@@ -47,6 +62,46 @@ def test_recurrence_check_finds_every_cycle_within_brents_bound():
             assert entry + period <= call <= 2 * max(entry, period) + period, (entry, period)
 
 
-def test_recurrence_check_never_flags_distinct_states():
+def test_stop_rule_never_flags_distinct_states():
     assert _first_flag(k.to_bytes(8) for k in range(100_000)) is None
     assert _first_flag((k.to_bytes(8), k % 2 == 0) for k in range(10_000)) is None
+
+
+def test_stop_rule_closes_at_tol_and_raises_at_the_cap():
+    closed = stop_rule(1.0, 3, "solves")
+    assert [closed(count, 2.0, count, "loop") for count in range(3)] == [False] * 3
+    with pytest.raises(NoConvergenceError, match=r"^loop did not close to 1 in 3 solves$"):
+        closed(3, 2.0, 3, "loop")
+    # a width at tol closes, even at the cap
+    assert stop_rule(1.0, 0, "solves")(0, 1.0, 0, "loop")
+
+
+# each loop at five_node: the module global that caps it, its name in the
+# message, its unit, its default tol, and a call
+_LOOPS = {
+    "perron": (netsirs.spectral, "MAX_SOLVES", r"Perron bracket \[\S+, \S+\]", "solves", "1e-10",
+               reproduction_number),
+    "phi": (netsirs.equilibrium, "PHI_MAX_ITER", "fixed-point step", "steps", "1e-12",
+            lambda m, **tol: iterate_phi(m.ybar, m.M, m.alpha, **tol)),
+    "bracket": (netsirs.equilibrium, "PHI_MAX_ITER", "equilibrium bracket", "iterations", "1e-12",
+                solve_endemic),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(_LOOPS))
+def test_every_loop_stops_in_the_two_forms_of_stop_rule(monkeypatch, loop):
+    """At tol 1e-17 each loop's state recurs at the rounding floor, and
+    with its cap at 1 to 3 it reaches the cap first; either way the one
+    line names the loop, the count and tol."""
+    module, cap_name, name, unit, default_tol, run = _LOOPS[loop]
+    model = load_model(FIVE_NODE)
+    with pytest.raises(NoConvergenceError) as err:
+        run(model, tol=1e-17)
+    assert re.fullmatch(rf"{name} stalled \S+ wide, above tol = 1\.000e-17, after \d+ {unit}: "
+                        r"its state repeats at the rounding floor", str(err.value))
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(module, cap_name, cap)
+        with pytest.raises(NoConvergenceError) as err:
+            run(model)
+        assert re.fullmatch(rf"{name} did not close to {default_tol} in {cap} {unit}",
+                            str(err.value))

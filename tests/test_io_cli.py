@@ -35,11 +35,9 @@ from netsirs import (
     load_initial,
     load_model,
     lyapunov_value,
-    model_to_dict,
     reproduction_number,
     run_sweep,
     sample_initial_states,
-    save_model,
     simulate,
     solve_endemic,
     spectral_abscissa,
@@ -99,13 +97,12 @@ def _cli(*argv, env=None):
 
 def test_model_round_trip(tmp_path, ref5):
     path = tmp_path / "m.json"
-    save_model(ref5, str(path))
+    helpers.save_model(ref5, str(path))
     loaded = load_model(str(path))
     assert loaded.name == "ref5"
     assert np.array_equal(loaded.W, ref5.W)
     assert np.array_equal(loaded.gamma, ref5.gamma)
     assert np.array_equal(loaded.delta, ref5.delta)
-    assert model_to_dict(loaded) == model_to_dict(ref5)
 
 
 def test_load_model_error_cases(tmp_path):
@@ -356,7 +353,7 @@ def test_cli_r0_stalled_bracket_exits_two_at_once(capsys):
     (line,) = captured.err.splitlines()
     assert captured.err == line + "\n"
     match = re.fullmatch(r"error: NoConvergenceError: Perron bracket \[\S+, \S+\] stalled \S+ wide, "
-                         r"above tol = 1\.000e-17, after (\d+) solves: its iterate repeats at the "
+                         r"above tol = 1\.000e-17, after (\d+) solves: its state repeats at the "
                          r"rounding floor", line)
     assert match and int(match[1]) < 50
 
@@ -466,7 +463,7 @@ def test_sweep_takes_one_dense_eigensolve_per_supercritical_row(monkeypatch):
 def test_cli_stability_takes_one_dense_eigensolve_per_endemic_model(
         tmp_path, monkeypatch, capsys, row_sum, calls):
     path = tmp_path / "model.json"
-    save_model(helpers.out_regular(n=3, row_sum=row_sum), str(path))
+    helpers.save_model(helpers.out_regular(n=3, row_sum=row_sum), str(path))
     counted = _counting(spectral_abscissa)
     eigvals = _counting(np.linalg.eigvals)
     monkeypatch.setattr(netsirs.stability, "spectral_abscissa", counted)
@@ -480,7 +477,7 @@ def test_cli_stability_takes_one_dense_eigensolve_per_endemic_model(
 def test_cli_stability_threshold_dfe_is_inconclusive(tmp_path, capsys):
     # R0 = 1 exactly: the DFE bracket closes at [0, 0], which touches 0
     path = tmp_path / "threshold.json"
-    save_model(helpers.out_regular(n=2, row_sum=1.0), str(path))
+    helpers.save_model(helpers.out_regular(n=2, row_sum=1.0), str(path))
     assert netsirs.cli.main(["stability", "--model", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["dfe"] == {"abscissa": 0.0, "verdict": "Inconclusive"}
@@ -672,7 +669,7 @@ def test_cli_solver_failure_exits_two(tmp_path):
     # integration, which is a numerical failure, not bad input
     m = helpers.out_regular(n=3, row_sum=100.0)
     path = tmp_path / "stiff.json"
-    save_model(m, str(path))
+    helpers.save_model(m, str(path))
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"y0": [0.3, 0.2, 0.1], "z0": [0.0, 0.0, 0.0]}))
     res = _cli("simulate", "--model", str(path), "--init", str(init),
@@ -751,7 +748,7 @@ def test_cli_equilibrium_solves_r0_once(tmp_path, monkeypatch, capsys):
 def test_cli_equilibrium_subcritical(tmp_path):
     sub = helpers.out_regular(n=3, row_sum=0.8)
     path = tmp_path / "sub.json"
-    save_model(sub, str(path))
+    helpers.save_model(sub, str(path))
     res = _cli("equilibrium", "--model", str(path))
     assert res.returncode == 0
     assert "NoEndemic (R0 = 0.800000)" in res.stdout
@@ -762,7 +759,7 @@ def test_cli_equilibrium_near_threshold(tmp_path, capsys):
     model = load_model(FIVE_NODE)
     r0, _ = reproduction_number(model)
     path = tmp_path / "near.json"
-    save_model(validate_model(model.W * ((1.0 + 1e-6) / r0), model.gamma, model.delta), str(path))
+    helpers.save_model(validate_model(model.W * ((1.0 + 1e-6) / r0), model.gamma, model.delta), str(path))
     out = tmp_path / "eq.json"
     assert netsirs.cli.main(["equilibrium", "--model", str(path), "--out", str(out)]) == 0
     data = json.loads(out.read_text())
@@ -957,7 +954,7 @@ def test_cli_stability_report(tmp_path):
 def test_cli_stability_subcritical_has_no_endemic_block(tmp_path):
     sub = helpers.out_regular(n=3, row_sum=0.8)
     path = tmp_path / "sub.json"
-    save_model(sub, str(path))
+    helpers.save_model(sub, str(path))
     res = _cli("stability", "--model", str(path))
     assert res.returncode == 0
     data = json.loads(res.stdout)
@@ -1010,6 +1007,16 @@ def test_cli_rejects_non_numbers_in_json(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error: ModelInputError: ") and captured.err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_cli_names_a_boolean_in_a_three_dimensional_w(tmp_path, capsys):
+    # the scan covers every entry at any depth, so the boolean is named
+    # before the shape of W is judged
+    path = _write_ref5(tmp_path / "model.json", W=[[[1.0, True]]])
+    assert netsirs.cli.main(["r0", "--model", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ModelInputError: model file {path} field 'W' must hold JSON numbers only, "
+        "got a boolean entry\n")
 
 
 def test_load_model_reads_true_outside_the_numbers(tmp_path):
@@ -1066,7 +1073,7 @@ def test_runtime_imports_no_test_only_package():
 def test_cli_sweep(tmp_path):
     m = helpers.out_regular(n=3, row_sum=2.0, gamma=1.0, delta=3.0)
     path = tmp_path / "reg.json"
-    save_model(m, str(path))
+    helpers.save_model(m, str(path))
     out = tmp_path / "sweep.csv"
     res = _cli("sweep", "--model", str(path), "--scale-min", "0.25",
                "--scale-max", "1.5", "--steps", "6", "--out", str(out))

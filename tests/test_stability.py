@@ -37,7 +37,6 @@ from netsirs import (
     rank_one_lyapunov,
     reproduction_number,
     rhs,
-    schur_matrix,
     simulate,
     solve_endemic,
     spectral_abscissa,
@@ -119,7 +118,7 @@ def test_eta_bound(out_regular3):
 
 def test_schur_matrix_uniform_hand_values(out_regular3):
     eq = solve_endemic(out_regular3)
-    S = schur_matrix(out_regular3, eq.y_star, 0.0)
+    S = oracles.schur_matrix(out_regular3, eq.y_star, 0.0)
     # S(0) = W/2 - 2I: off-diagonal 1/3, diagonal 1/3 - 2
     expected = 0.5 * out_regular3.W - 2.0 * np.eye(3)
     assert np.max(np.abs(S - expected)) <= 1e-9
@@ -128,7 +127,7 @@ def test_schur_matrix_uniform_hand_values(out_regular3):
 def test_schur_matrix_pole_rejected(out_regular3):
     eq = solve_endemic(out_regular3)
     with pytest.raises(SingularShiftError):
-        schur_matrix(out_regular3, eq.y_star, -1.0)
+        oracles.schur_matrix(out_regular3, eq.y_star, -1.0)
 
 
 def test_schur_determinant_identity(ref5):
@@ -140,7 +139,7 @@ def test_schur_determinant_identity(ref5):
         lam = complex(rng.uniform(-0.2, 2.0), rng.uniform(-2.0, 2.0))
         lhs = np.linalg.det(J - lam * np.eye(10))
         rhs_ = ((-1.0) ** 5) * np.prod(ref5.delta + lam) * np.linalg.det(
-            schur_matrix(ref5, eq.y_star, lam)
+            oracles.schur_matrix(ref5, eq.y_star, lam)
         )
         assert abs(lhs - rhs_) <= 1e-8 * max(abs(lhs), 1.0)
 
@@ -164,7 +163,7 @@ def test_gershgorin_diagonal_decomposition(ref5):
     rng = np.random.default_rng(7)
     for _ in range(20):
         lam = complex(rng.uniform(-0.05, 3.0), rng.uniform(-5.0, 5.0))
-        H = schur_matrix(ref5, y, lam) * y[None, :]
+        H = oracles.schur_matrix(ref5, y, lam) * y[None, :]
         radii = np.abs(H).sum(axis=1) - np.abs(np.diagonal(H))
         g = lam * y + ref5.gamma * m / (ref5.delta + lam)
         expected = -m - g.real
@@ -209,7 +208,7 @@ def _gershgorin_by_schur(model, y, samples):
     out = []
     for lam in samples:
         lam = complex(lam)
-        H = schur_matrix(model, y, lam) * y[None, :]
+        H = oracles.schur_matrix(model, y, lam) * y[None, :]
         off = np.abs(H)
         np.fill_diagonal(off, 0.0)
         radii = off.sum(axis=1)
@@ -244,7 +243,7 @@ def test_gershgorin_equals_schur_matrix_route(which):
     if eta == -pole:
         lam = complex(pole + 1e-15)
         with pytest.raises(SingularShiftError):
-            schur_matrix(model, y, lam)
+            oracles.schur_matrix(model, y, lam)
         with pytest.raises(SingularShiftError):
             gershgorin_certificate(model, y, [lam])
 
