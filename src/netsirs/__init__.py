@@ -22,7 +22,6 @@ from .errors import (
     NonPositiveRateError,
     NotEquilibriumError,
     NumericalError,
-    OutOfCapError,
     ReducibleError,
     SimplexViolationError,
     SingularShiftError,
@@ -43,7 +42,6 @@ from .equilibrium import (
     iterate_phi,
     phi,
     psi,
-    reconstruct_full,
     solve_endemic,
 )
 from .dynamics import (

@@ -145,6 +145,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
             ],
             "verdict": certificate.verdict,
         }
+    elif solved.near_threshold:
+        report["endemic"] = {"no_endemic": True, "near_threshold": True}
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:
@@ -155,10 +157,10 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    rows, failures = run_sweep(model, args.scale_min, args.scale_max,
+    rows, warnings = run_sweep(model, args.scale_min, args.scale_max,
                                args.steps, tol=args.tol)
     write_sweep_csv(rows, args.out)
-    print(f"wrote {args.out} ({len(rows)} rows, {failures} warnings)")
+    print(f"wrote {args.out} ({len(rows)} rows, {warnings} warnings)")
     return 0
 
 

@@ -31,15 +31,16 @@ from .errors import (
     DimensionMismatchError,
     EpsilonStarNotFoundError,
     ModelInputError,
-    OutOfCapError,
     check_tol,
     stop_rule,
 )
 from .model import ModelInstance
 from .spectral import SpectralResult, reproduction_number
 
-# models whose computed r0 - 1 is at most this are treated as threshold
-# cases and reported as having no endemic equilibrium
+# Half-width of the threshold band. The computed r0 - 1 puts a model in
+# one of three states, and every command reports that one: below
+# (r0 - 1 < -R0_TOL), near (|r0 - 1| <= R0_TOL) or above (r0 - 1 > R0_TOL).
+# Only above does solve_endemic return an endemic equilibrium.
 R0_TOL = 1e-9
 
 # most applications of Phi that iterate_phi may take, and most iterations,
@@ -66,11 +67,12 @@ class EndemicEquilibrium:
 
 @dataclass(frozen=True)
 class NoEndemic:
-    """Returned when r0 - 1 <= R0_TOL; only the origin is stationary.
+    """Returned below and near the threshold, r0 - 1 <= R0_TOL.
 
-    near_threshold flags |r0 - 1| <= R0_TOL, so every NoEndemic with
-    r0 > 1 has it: there the fixed-point problem is too ill conditioned
-    to resolve a positive equilibrium from the origin.
+    near_threshold marks the near state, |r0 - 1| <= R0_TOL, so every
+    NoEndemic with r0 > 1 has it: there the fixed-point problem is too
+    ill conditioned to resolve a positive equilibrium from the origin.
+    Without it the state is below, where only the origin is stationary.
     """
 
     r0: float
@@ -245,7 +247,8 @@ def solve_endemic(
         iterations += 1
 
     y_star = 0.5 * (Y[0] + Y[1])
-    x_star, z_star = reconstruct_full(model, y_star)
+    z_star = alpha * y_star
+    x_star = 1.0 - y_star - z_star
     residual = float(np.max(np.abs(y_star - phi(y_star, M, alpha))))
     return EndemicEquilibrium(
         y_star=y_star,
@@ -255,18 +258,3 @@ def solve_endemic(
         residual=residual,
         bracket_gap=gap,
     )
-
-
-def reconstruct_full(model: ModelInstance, y_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary susceptible and recovered fractions for a given y_star.
-
-    At a stationary point z = (gamma/delta) y and x = 1 - y - z. Requires
-    y_star within the cap ybar (up to 1e-12 slack), which guarantees
-    x >= 0; raises OutOfCapError otherwise.
-    """
-    y = np.asarray(y_star, dtype=float)
-    if np.any(y < -1e-12) or np.any(y > model.ybar + 1e-12):
-        raise OutOfCapError("y_star must satisfy 0 <= y_i <= 1/(1 + alpha_i)")
-    z = model.alpha * y
-    x = 1.0 - y - z
-    return x, z

@@ -54,10 +54,6 @@ class InvalidInitialError(ModelInputError):
     """An initial condition lies outside the admissible state space."""
 
 
-class OutOfCapError(ModelInputError):
-    """An infection profile exceeds its componentwise cap 1/(1+alpha)."""
-
-
 class NonPositiveEquilibriumError(ModelInputError):
     """An endemic profile must be strictly positive."""
 

@@ -177,16 +177,21 @@ LAMBDA_RANDOM_SAMPLES = 20
 def default_lambda_samples(eta: float, seed: int = 0) -> list[complex]:
     """Shift samples covering the half-plane Re(lam) > -eta.
 
-    The fixed part probes the boundary (-eta + 1e-6), the origin, and
+    The fixed part probes the boundary (-eta + inset), the origin, and
     magnitudes 0.01 through 100 along the real and imaginary axes; the
-    random part draws uniformly from [-eta + 1e-6, 10] x [-10i, 10i].
+    random part draws uniformly from [-eta + inset, 10] x [-10i, 10i].
+    The inset 1e-6 max(1, eta) grows with eta, so in a short time unit,
+    where eta = min delta can be large, the boundary shift stays clear
+    of the poles -delta_i by more than gershgorin_certificate's relative
+    pole test.
     """
-    samples: list[complex] = [complex(-eta + 1e-6), 0j]
+    edge = -eta + 1e-6 * max(1.0, eta)
+    samples: list[complex] = [complex(edge), 0j]
     for k in range(-2, 3):
         mag = 10.0 ** k
         samples += [complex(0.0, mag), complex(0.0, -mag), complex(mag)]
     rng = np.random.default_rng(seed)
-    re = rng.uniform(-eta + 1e-6, 10.0, LAMBDA_RANDOM_SAMPLES)
+    re = rng.uniform(edge, 10.0, LAMBDA_RANDOM_SAMPLES)
     im = rng.uniform(-10.0, 10.0, LAMBDA_RANDOM_SAMPLES)
     samples += [complex(a, b) for a, b in zip(re, im)]
     return samples
@@ -277,24 +282,22 @@ def endemic_certificate(
 ) -> StabilityCertificate:
     """Assemble the two-route certificate at an endemic profile.
 
-    The disk check runs on default_lambda_samples(eta, seed). Stable
-    requires a negative abscissa and every disk sample passing; a
-    positive abscissa alone is definitive for Unstable; anything else is
-    Inconclusive. Raises ModelInputError when tol is not positive and
-    finite.
+    The disk check runs on default_lambda_samples(eta, seed). The verdict
+    is Stable when the abscissa is negative and every disk sample passes,
+    and Inconclusive otherwise, never Unstable: at an exact equilibrium
+    every disk margin is at least F(lam) > 0 on Re(lam) > -eta (see
+    gershgorin_certificate), so a route that disagrees has failed, and
+    proves nothing about the equilibrium. Raises ModelInputError when tol
+    is not positive and finite.
     """
     y = np.asarray(y_star, dtype=float)
     eta = eta_bound(model, y)
     abscissa = spectral_abscissa(jacobian_endemic(model, y, z_star, tol=tol))
     samples = gershgorin_certificate(model, y, default_lambda_samples(eta, seed=seed))
-    if abscissa < 0.0 and all(s.all_disks_left for s in samples):
-        verdict = STABLE
-    elif abscissa > 0.0:
-        verdict = UNSTABLE
-    else:
-        verdict = INCONCLUSIVE
+    stable = abscissa < 0.0 and all(s.all_disks_left for s in samples)
     return StabilityCertificate(eta=eta, spectral_abscissa=abscissa,
-                                gershgorin_samples=samples, verdict=verdict)
+                                gershgorin_samples=samples,
+                                verdict=STABLE if stable else INCONCLUSIVE)
 
 
 def lyapunov_value(

@@ -38,8 +38,10 @@ def run_sweep(
 ) -> tuple[list[SweepRow], int]:
     """Rescale W by each s on a uniform grid and re-solve each row.
 
-    Returns the rows in grid order plus the number of rows that failed
-    and were recorded as NaN, each with its error. steps below 1, a
+    Returns the rows in grid order plus the number of warnings: rows
+    that failed and were recorded as NaN, each with its error, and rows
+    whose scaled model lies near the threshold (NoEndemic.near_threshold),
+    written like any row without an endemic state. steps below 1, a
     non-finite scale bound or a tol that is not positive and finite raises
     ModelInputError before the first row. The Perron pair of
     the model is solved once: rho(sM) = s rho(M) and the eigenvectors do
@@ -55,7 +57,7 @@ def run_sweep(
     check_tol(tol)
     _, base = reproduction_number(model)
     rows: list[SweepRow] = []
-    failures = 0
+    warnings = 0
     for scale in np.linspace(scale_min, scale_max, steps).tolist():
         try:
             scaled = validate_model(scale * model.W, model.gamma, model.delta)
@@ -70,6 +72,7 @@ def run_sweep(
             else:
                 norm = 0.0
                 endemic = float("nan")
+                warnings += solved.near_threshold
             rows.append(SweepRow(scale=scale, r0=spectral.lam, endemic_norm=norm,
                                  dfe_abscissa=dfe, endemic_abscissa=endemic))
         except NetsirsError as exc:
@@ -77,5 +80,5 @@ def run_sweep(
             rows.append(SweepRow(scale=scale, r0=nan, endemic_norm=nan,
                                  dfe_abscissa=nan, endemic_abscissa=nan,
                                  error=f"{type(exc).__name__}: {exc}"))
-            failures += 1
-    return rows, failures
+            warnings += 1
+    return rows, warnings

@@ -124,3 +124,21 @@ def rank_one_model(
     a = a * (r0_target / float(a @ b))
     delta = rng.uniform(0.3, 0.9, size=n)
     return validate_model(np.outer(a, b), np.ones(n), delta), b
+
+
+def log_uniform_family(d: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The 40 draws at d of the log-uniform family: default_rng(1) makes 40
+    draws for each d in 2, 4, 6 and 10, in that order, and each draw is
+    n = rng.integers(2, 7), then W, gamma and delta, in that order, as
+    10 ** rng.uniform(-d, d, shape). Every W is positive, so every draw
+    validates. Returns the (W, gamma, delta) of each draw at d."""
+    rng = np.random.default_rng(1)
+    for each in (2, 4, 6, 10):
+        draws = []
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            draws.append(tuple(10.0 ** rng.uniform(-each, each, shape)
+                               for shape in ((n, n), (n,), (n,))))
+        if each == d:
+            return draws
+    raise ValueError(f"the family has no draws at d = {d}")

@@ -151,6 +151,19 @@ def test_acceptance_06_schur_determinant_identity():
             f"10 models x 50 shifts (<= 1e-6)")
 
 
+def _absolute_inset_samples(eta: float, seed: int) -> list[complex]:
+    """The shifts of default_lambda_samples drawn with the absolute inset
+    1e-6 at every eta, the samples acceptance 07 was set on."""
+    edge = -eta + 1e-6
+    samples = [complex(edge), 0j]
+    for k in range(-2, 3):
+        samples += [complex(0.0, 10.0 ** k), complex(0.0, -10.0 ** k), complex(10.0 ** k)]
+    rng = np.random.default_rng(seed)
+    re = rng.uniform(edge, 10.0, 20)
+    im = rng.uniform(-10.0, 10.0, 20)
+    return samples + [complex(a, b) for a, b in zip(re, im)]
+
+
 def test_acceptance_07_gershgorin_margin_floor():
     # The margin identity and the floor F(lam) it proves are derived in the
     # gershgorin_certificate docstring. F is m* = min_k m_k on Re(lam) >= 0;
@@ -164,7 +177,9 @@ def test_acceptance_07_gershgorin_margin_floor():
         wy = m.W @ y
         mk = wy * y
         m_star = float(mk.min())
-        samples = gershgorin_certificate(m, y, default_lambda_samples(eta, seed=0))
+        lams = default_lambda_samples(eta, seed=0)
+        assert lams == _absolute_inset_samples(eta, seed=0)
+        samples = gershgorin_certificate(m, y, lams)
         total += len(samples)
         for s in samples:
             identity = float((mk + s.lam.real * y

@@ -19,14 +19,12 @@ from netsirs import (
     ModelInputError,
     NoConvergenceError,
     NoEndemic,
-    OutOfCapError,
     R0_TOL,
     iterate_phi,
     jacobian_endemic,
     load_model,
     phi,
     psi,
-    reconstruct_full,
     reproduction_number,
     run_sweep,
     solve_endemic,
@@ -220,20 +218,6 @@ def test_solve_endemic_barely_supercritical(rng):
     assert eq.residual <= 1e-11
 
 
-def test_reconstruct_full_hand_values():
-    m = validate_model([[3.0]], [2.0], [1.0])
-    x, z = reconstruct_full(m, np.array([0.1]))
-    assert z[0] == pytest.approx(0.2)
-    assert x[0] == pytest.approx(0.7)
-
-
-def test_reconstruct_full_rejects_above_cap():
-    m = validate_model([[3.0]], [2.0], [1.0])
-    # cap is 1/(1+2) = 1/3
-    with pytest.raises(OutOfCapError):
-        reconstruct_full(m, np.array([0.4]))
-
-
 def test_out_regular_closed_form_variants():
     m = helpers.out_regular(n=4, row_sum=2.0, gamma=1.0, delta=3.0)
     ys = helpers.out_regular_y_star(row_sum=2.0, gamma=1.0, delta=3.0)
@@ -325,6 +309,27 @@ def test_solve_endemic_decides_threshold_on_one_difference(excess):
     else:
         assert r0 - 1.0 > R0_TOL
         assert np.max(np.abs(solved.y_star - oracles.endemic_mpmath(model))) <= TOL
+
+
+def test_solve_endemic_closes_when_the_newton_solve_is_singular(monkeypatch):
+    # _newton_fourier falls back to the Phi step when its dense solve fails,
+    # so the bracket still closes, only in more iterations
+    model = _five_node_at(1.01)
+    _, spectral = reproduction_number(model)
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    newton = solve_endemic(model, tol=TOL, spectral=spectral)
+    assert calls
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    phi_only = solve_endemic(model, tol=TOL, spectral=spectral)
+    assert phi_only.iterations > newton.iterations
+    assert phi_only.bracket_gap <= TOL
+    assert np.max(np.abs(phi_only.y_star - newton.y_star)) <= TOL
 
 
 def test_sweep_row_near_threshold_is_finite():

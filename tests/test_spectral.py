@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import netsirs.cli
 import netsirs.spectral
 import oracles
 from netsirs import (
@@ -234,3 +235,23 @@ def test_reproduction_number_tracks_scaling(rng):
     m = helpers.random_supercritical(rng, 4, r0_target=2.0)
     r0, _ = reproduction_number(m)
     assert r0 == pytest.approx(2.0, abs=1e-8)
+
+
+def _singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("case", ["singular", "not positive"])
+@pytest.mark.parametrize("command", ["r0", "stability"])
+def test_cli_exits_two_when_a_shifted_solve_fails(monkeypatch, capsys, command, case):
+    # a singular shifted solve, or an iterate that is not strictly
+    # positive, ends the Perron loop with its reason, never with a result
+    solve = np.linalg.solve
+    broken, message = {
+        "singular": (_singular_solve, "shifted solve failed: Singular matrix"),
+        "not positive": (lambda a, b: -solve(a, b),
+                         "shifted solve lost positivity; the Perron bracket is open"),
+    }[case]
+    monkeypatch.setattr(np.linalg, "solve", broken)
+    assert netsirs.cli.main([command, "--model", FIVE_NODE]) == 2
+    assert capsys.readouterr() == ("", f"error: NoConvergenceError: {message}\n")

@@ -8,12 +8,14 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
+import netsirs.cli
 import netsirs.spectral
 import netsirs.stability
 import oracles
 from netsirs import (
     INCONCLUSIVE,
     DfeAbscissa,
+    EigenFailureError,
     GershgorinSample,
     IntegratorConfig,
     InvalidAtBoundaryError,
@@ -281,6 +283,17 @@ def test_default_lambda_samples_layout():
     assert samples != default_lambda_samples(0.5, seed=1)
 
 
+def test_default_lambda_samples_inset_grows_with_eta():
+    # eta <= 1 keeps the inset 1e-6; above it the inset is 1e-6 eta, so
+    # the boundary shift stays 1e-6 eta clear of a pole at -delta_i = -eta
+    for eta in (1e-3, 1.0):
+        assert default_lambda_samples(eta)[0] == complex(-eta + 1e-6)
+    for eta in (1e8, 1e11):
+        samples = default_lambda_samples(eta)
+        assert samples[0] == complex(-eta + 1e-6 * eta)
+        assert min(s.real for s in samples) == samples[0].real
+
+
 def test_spectral_abscissa_hand_values():
     assert spectral_abscissa(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
     # purely rotational spectrum sits on the axis
@@ -297,6 +310,30 @@ def test_endemic_certificate_reference_network(ref5):
     assert cert.spectral_abscissa <= -cert.eta + 1e-6
     assert len(cert.gershgorin_samples) == 37
     assert all(s.all_disks_left for s in cert.gershgorin_samples)
+
+
+@pytest.mark.parametrize("abscissa", [1.0, 0.0])
+def test_endemic_certificate_is_never_unstable(ref5, monkeypatch, abscissa):
+    # every disk margin is at least F(lam) > 0 at an exact equilibrium, so
+    # a dense abscissa that is not negative means one route failed
+    eq = solve_endemic(ref5)
+    monkeypatch.setattr(netsirs.stability, "spectral_abscissa", lambda A: abscissa)
+    cert = endemic_certificate(ref5, eq.y_star, eq.z_star)
+    assert cert.spectral_abscissa == abscissa
+    assert all(s.all_disks_left for s in cert.gershgorin_samples)
+    assert cert.verdict == INCONCLUSIVE
+
+
+def test_eigensolver_failure_exits_two(monkeypatch, capsys):
+    def failing(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(EigenFailureError, match="^eigensolver failed: Eigenvalues did not converge$"):
+        spectral_abscissa(np.eye(2))
+    assert netsirs.cli.main(["stability", "--model", _FIVE_NODE]) == 2
+    assert capsys.readouterr() == (
+        "", "error: EigenFailureError: eigensolver failed: Eigenvalues did not converge\n")
 
 
 def test_infection_free_stability_tracks_threshold():
