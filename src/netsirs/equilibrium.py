@@ -52,9 +52,10 @@ PHI_MAX_ITER = 1_000_000
 class EndemicEquilibrium:
     """Strictly positive stationary profile with solver diagnostics.
 
-    residual is ||y_star - Phi(y_star)||_inf and bracket_gap the final
-    sup-norm distance between the upper and lower iterate sequences;
-    iterations counts bracket-loop iterations, Phi or Newton-Fourier.
+    residual is the componentwise defect max_k |y_k - Phi(y)_k| / y_k at
+    y = y_star, at most tol, and bracket_gap the final sup-norm distance
+    between the upper and lower iterate sequences; iterations counts
+    bracket-loop iterations, Phi or Newton-Fourier.
     """
 
     y_star: np.ndarray
@@ -197,9 +198,11 @@ def solve_endemic(
     The upper sequence starts at the cap ybar and is componentwise
     nonincreasing; the lower starts at a small positive multiple of the
     Perron vector and is nondecreasing. Both converge to the same point,
-    so iteration stops once their sup-norm gap closes to tol and the
-    midpoint is reported. Recovered and susceptible fractions follow from
-    stationarity: z = alpha * y, x = 1 - y - z.
+    so iteration stops once their sup-norm gap closes to tol and then
+    their midpoint y, which is reported, passes the componentwise test
+    |y - Phi(y)| <= tol y that jacobian_endemic checks at 100 tol, which
+    resolves components far below tol. Stationarity gives z = alpha y
+    and x_k = gamma_k y_k / (W y)_k, positive where 1 - y - z cancels.
 
     The two sequences are the rows of one (2, n) array Y, so a Phi step
     is psi(np.matvec(M, Y), alpha), which equals phi on each row bit for
@@ -212,9 +215,9 @@ def solve_endemic(
     iterations of either kind.
 
     The bracket is certified up to rounding: at the floor its rows can
-    cross by an ulp and cycle with the gap above tol. (Y, newton) fixes
-    every later iteration, so stop_rule raises as soon as that state
-    recurs, and after PHI_MAX_ITER iterations.
+    cross by an ulp and cycle with the gap, or then the defect, above tol.
+    (Y, newton) fixes every later iteration, so stop_rule raises as soon
+    as that state recurs, and after PHI_MAX_ITER iterations.
 
     Returns NoEndemic when r0 - 1 <= R0_TOL. The eigensolve can be skipped
     by passing a precomputed SpectralResult for model.M. Raises
@@ -238,7 +241,11 @@ def solve_endemic(
     iterations = 0
     newton = False
     closed = stop_rule(tol, PHI_MAX_ITER, "iterations")
-    while not closed(iterations, gap, (Y.tobytes(), newton), "equilibrium bracket"):
+    while True:
+        y_star = 0.5 * (Y[0] + Y[1])
+        width = gap if gap > tol else float(np.max(np.abs(y_star - phi(y_star, M, alpha)) / y_star))
+        if closed(iterations, width, (Y.tobytes(), newton), "equilibrium bracket"):
+            break
         MY = np.matvec(M, Y)
         Y = _newton_fourier(M, alpha, Y, MY, tol) if newton else psi(MY, alpha)
         last, gap = gap, float(np.max(np.abs(Y[0] - Y[1])))
@@ -246,15 +253,6 @@ def solve_endemic(
         newton = q > 0.5 and q ** (model.n + 25) * gap > tol
         iterations += 1
 
-    y_star = 0.5 * (Y[0] + Y[1])
-    z_star = alpha * y_star
-    x_star = 1.0 - y_star - z_star
-    residual = float(np.max(np.abs(y_star - phi(y_star, M, alpha))))
-    return EndemicEquilibrium(
-        y_star=y_star,
-        z_star=z_star,
-        x_star=x_star,
-        iterations=iterations,
-        residual=residual,
-        bracket_gap=gap,
-    )
+    return EndemicEquilibrium(y_star=y_star, z_star=alpha * y_star,
+                              x_star=model.gamma * y_star / (model.W @ y_star),
+                              iterations=iterations, residual=width, bracket_gap=gap)

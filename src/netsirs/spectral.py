@@ -32,8 +32,7 @@ class SpectralResult:
     lam is the dominant eigenvalue, v_right and v_left the corresponding
     strictly positive eigenvectors normalized to unit 1-norm, iterations
     the number of shifted solves used, right plus left, and residual the
-    final value of ||M v_right - lam v_right||_inf (at most the requested
-    tolerance).
+    final value of ||M v_right - lam v_right||_inf (about tol lam at most).
     """
 
     lam: float
@@ -48,35 +47,48 @@ def perron_bracket(
     tol: float,
     known: tuple[float, float] = (-np.inf, np.inf),
 ) -> tuple[np.ndarray, float, float, int]:
-    """Perron root s(B) of an irreducible Metzler B, bracketed to tol.
+    """Perron root s(B) of an irreducible Metzler B, bracketed to tol
+    relative to s = max_i (|B| x)_i / x_i, the scale its ratios round on:
+    upper for a nonnegative B, about the rate scale for W - [gamma].
 
-    Starting from x = 1, each step solves (sigma I - B) x' = x with
-    sigma = hi + max(0.01 (hi - lo), tol), where [lo, hi] is every
+    Starting from x = 1, each step solves (sigma I - B) x' = x in the basis
+    of the iterate, (sigma I - D^-1 B D) e = 1 with D = [x], x' = x e, so a
+    Perron vector spanning decades is resolved component by component
+    (Noda, Numer. Math. 17, 1971). The shift is sigma = hi + max(0.01
+    (hi - lo), max(tol, (n + 1) eps) s), where [lo, hi] is every
     Collatz-Wielandt bracket so far intersected with known, a bracket the
-    caller already holds. sigma lies above s(B), so
-    (sigma I - B)^-1 is entrywise positive and every iterate is a valid
-    test vector; one that is not strictly positive in floating point, or
-    a singular solve, raises NoConvergenceError rather than being used.
-    The loop stops once the ratios of the current x lie within tol of
-    each other (a 1x1 B at once), and returns that x at unit 1-norm, its
-    ratio bracket (lower, upper) and the number of solves. (x, lo, hi)
-    fixes every later solve, so at the rounding floor, where the ratios
-    cannot close to tol, that state recurs; stop_rule raises as soon as
-    it does, and after MAX_SOLVES solves.
+    caller already holds; (n + 1) eps s bounds the rounding of the ratios.
+    sigma lies above s(B), so (sigma I - B)^-1 is entrywise positive and
+    every iterate is a valid test vector; one that is not strictly
+    positive in floating point, or a singular solve, raises
+    NoConvergenceError rather than being used. The loop stops once the
+    ratios of the current x lie within tol s of each other (a 1x1 B at
+    once), and returns that x at unit 1-norm, its ratio bracket (lower,
+    upper) and the number of solves. (x, lo, hi) fixes every later solve,
+    so at the rounding floor that state recurs; stop_rule raises as soon
+    as it does, naming the width over s, and after MAX_SOLVES solves.
     """
-    eye = np.eye(B.shape[0])
-    x = np.ones(B.shape[0])
+    n = B.shape[0]
+    x = ones = np.ones(n)
+    # (|B| x)_i / x_i exceeds (B x)_i / x_i by |B_ii| - B_ii, as B is Metzler
+    spread = np.abs(np.diagonal(B)) - np.diagonal(B)
     lo, hi = known
     closed = stop_rule(tol, MAX_SOLVES, "solves")
     for solves in itertools.count():
         ratios = (B @ x) / x
         lower, upper = float(ratios.min()), float(ratios.max())
-        if closed(solves, upper - lower, x.tobytes() + np.array((lo, hi)).tobytes(),
+        s = float((ratios + spread).max())
+        if closed(solves, (upper - lower) / s if upper > lower else 0.0,
+                  x.tobytes() + np.array((lo, hi)).tobytes(),
                   f"Perron bracket [{lower:.17g}, {upper:.17g}]"):
             return x / x.sum(), lower, upper, solves
         lo, hi = max(lo, lower), min(hi, upper)
+        sigma = hi + max(0.01 * (hi - lo), max(tol, (n + 1) * np.finfo(float).eps) * s)
+        shifted = B * -x  # sigma I - D^-1 B D, formed in one array
+        shifted /= x[:, None]
+        shifted.flat[:: n + 1] += sigma
         try:
-            x = np.linalg.solve((hi + max(0.01 * (hi - lo), tol)) * eye - B, x)
+            x = x * np.linalg.solve(shifted, ones)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"shifted solve failed: {exc}") from exc
         if not np.minimum.reduce(x) > 0.0:
@@ -92,7 +104,7 @@ def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float
     one or two solves. Inverse iteration needs no primitive matrix, so a
     periodic support (a two-cycle, a directed ring) converges like any
     other. R0 is reported as the ratio v_left' M v_right / v_left' v_right,
-    which the brackets pin to the same accuracy. A ModelInstance comes
+    which the brackets pin to tol relative to R0. A ModelInstance comes
     only from validate_model, which has already proved M finite,
     nonnegative and irreducible, so no check is repeated. Raises
     ModelInputError when tol is not positive and finite.

@@ -102,7 +102,7 @@ class DfeAbscissa:
         return INCONCLUSIVE
 
 
-# Width, relative to the rate scale, at which the DFE bracket counts as closed
+# Width, relative to the scale of the ratios, at which the DFE bracket counts as closed
 DFE_TOL = 2e-14
 
 
@@ -111,16 +111,14 @@ def dfe_abscissa(model: ModelInstance) -> DfeAbscissa:
     B = W - [gamma], without an eigensolver.
 
     perron_bracket closes a Collatz-Wielandt bracket on s(B) to DFE_TOL
-    times the rate scale max(max gamma, |max_i (B 1)_i|), which bounds
-    |s(B)|: the ratios carry rounding of order eps times that scale, so
-    the width is measured on it. The midpoint and both bounds are raised
-    to -min delta where they lie below it. Raises NoConvergenceError when
-    the bracket does not close (spectral.MAX_SOLVES solves).
+    times the scale its ratios round on, about the rate scale. The
+    midpoint and both bounds are raised to -min delta where they lie
+    below it. Raises NoConvergenceError when the bracket does not close
+    (spectral.MAX_SOLVES solves).
     """
     B = model.W - np.diag(model.gamma)
     floor = -float(model.delta.min())
-    scale = max(float(model.gamma.max()), abs(float(B.sum(axis=1).max())))
-    _, lo, hi, solves = perron_bracket(B, DFE_TOL * scale)
+    _, lo, hi, solves = perron_bracket(B, DFE_TOL)
     return DfeAbscissa(max(0.5 * (lo + hi), floor), max(lo, floor), max(hi, floor), solves)
 
 
@@ -132,20 +130,21 @@ def jacobian_endemic(
 ) -> np.ndarray:
     """Reduced Jacobian at a stationary point (y_star, z_star).
 
-    Raises NotEquilibriumError when the fixed-point defect
-    max(||y - Phi(y)||_inf, ||z - alpha y||_inf), a difference of
-    fractions that does not depend on the time unit, exceeds 100 * tol,
-    with tol the tolerance the point was solved to, and ModelInputError
-    when tol is not positive and finite.
+    Raises NotEquilibriumError unless |y - Phi(y)| <= 100 tol y and
+    |z - alpha y| <= 100 tol z componentwise, with tol the tolerance the
+    point was solved to, so a NaN profile fails and the origin passes,
+    and ModelInputError when tol is not positive and finite.
     """
     check_tol(tol)
     y = np.asarray(y_star, dtype=float)
     z = np.asarray(z_star, dtype=float)
-    defect = max(np.abs(y - phi(y, model.M, model.alpha)).max(), np.abs(z - model.alpha * y).max())
-    if defect > 100.0 * tol:
-        raise NotEquilibriumError(
-            f"fixed-point defect {defect:.3e} exceeds {100.0 * tol:.3e}"
-        )
+    bound = 100.0 * tol
+    point = np.concatenate([y, z])
+    defect = np.abs(point - np.concatenate([phi(y, model.M, model.alpha), model.alpha * y]))
+    if not np.all(defect <= bound * point):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.max(defect / point)
+        raise NotEquilibriumError(f"fixed-point defect {worst:.3e} exceeds {bound:.3e}")
     n = model.n
     x = 1.0 - y - z
     wy = model.W @ y

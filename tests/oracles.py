@@ -239,7 +239,8 @@ def csv_plain(path: str, header: str, table: np.ndarray) -> None:
 def bracket_serial(model, v_right: np.ndarray, tol: float = 1e-12):
     """The two-sided Phi bracket, one sequence at a time with plain
     expressions: the upper from the cap, the lower from the largest
-    halving of min(ybar) / (2 max v) v that Phi expands. Returns
+    halving of min(ybar) / (2 max v) v that Phi expands, until the gap is
+    at most tol and the midpoint y has |y - Phi(y)| <= tol y. Returns
     (midpoint, iterations, final sup-norm gap, halving), where halving
     says that every iteration shrank the gap to at most half, so that
     solve_endemic takes no Newton-Fourier step on the model."""
@@ -258,13 +259,27 @@ def bracket_serial(model, v_right: np.ndarray, tol: float = 1e-12):
     gap = float(np.max(np.abs(upper - lower)))
     iterations = 0
     halving = True
-    while gap > tol:
+    def settled(y):
+        return np.all(np.abs(y - phi(y)) <= tol * y)
+
+    while gap > tol or not settled(0.5 * (upper + lower)):
         upper = phi(upper)
         lower = phi(lower)
         last, gap = gap, float(np.max(np.abs(upper - lower)))
         halving = halving and gap <= 0.5 * last
         iterations += 1
     return 0.5 * (upper + lower), iterations, gap, halving
+
+
+def r0_mpmath(model, dps: int = 50) -> float:
+    """R0 of the float model from a dps-digit eigensolve of M = W / gamma,
+    formed in mpmath."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        M = mpmath.matrix([[mpmath.mpf(float(w)) / mpmath.mpf(float(g)) for w in row]
+                           for row, g in zip(model.W, model.gamma)])
+        return float(max(mpmath.re(lam) for lam in mpmath.eig(M, left=False, right=False)))
 
 
 def endemic_mpmath(model, dps: int = 50) -> np.ndarray:

@@ -344,20 +344,23 @@ def test_cli_stalled_bracket_exits_two_at_once(capsys, command):
 
 
 def test_cli_r0_stalled_bracket_exits_two_at_once(capsys):
-    """At --tol 1e-17 the five_node Perron bracket stalls 1.8e-15 wide and
-    its state recurs, so r0 exits 2 with one line naming the width and tol
-    before the 50-solve cap."""
-    start = time.perf_counter()
-    assert netsirs.cli.main(["r0", "--model", FIVE_NODE, "--tol", "1e-17"]) == 2
-    assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert captured.err == line + "\n"
-    match = re.fullmatch(r"error: NoConvergenceError: Perron bracket \[\S+, \S+\] stalled \S+ wide, "
-                         r"above tol = 1\.000e-17, after (\d+) solves: its state repeats at the "
-                         r"rounding floor", line)
-    assert match and int(match[1]) < 50
+    """At --tol 1e-17 and 1e-16, below the rounding floor, the five_node
+    Perron bracket stalls 2.0e-16 wide relative to R0 and its state
+    recurs, so r0 exits 2 with one line naming the width and tol before
+    the 50-solve cap. The shift floor (n + 1) eps s keeps every solve
+    nonsingular and positive at such a tol."""
+    for tol in ("1e-17", "1e-16"):
+        start = time.perf_counter()
+        assert netsirs.cli.main(["r0", "--model", FIVE_NODE, "--tol", tol]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert captured.err == line + "\n"
+        match = re.fullmatch(r"error: NoConvergenceError: Perron bracket \[\S+, \S+\] stalled \S+ "
+                             rf"wide, above tol = {float(tol):.3e}, after (\d+) solves: its "
+                             r"state repeats at the rounding floor", line)
+        assert match and int(match[1]) < 50
 
 
 def test_cli_names_a_short_rate_vector(tmp_path, capsys):
@@ -369,16 +372,16 @@ def test_cli_names_a_short_rate_vector(tmp_path, capsys):
         "error: DimensionMismatchError: rate vectors must have shape (2,), got (1,) and (2,)\n")
 
 
-# sha256 of `netsirs sweep` CSVs on five_node, recorded when solve_endemic
-# gained Newton-Fourier steps. Against the plain Phi bracket only the
-# endemic_norm of the rows at R0 = 1.31 (scale 0.15) and 1.09 (scale 0.125)
-# moved, in the 12th digit; both values lie within 2e-13 of
-# oracles.endemic_mpmath, as the old ones did
+# sha256 of `netsirs sweep` CSVs on five_node, re-recorded when the
+# equilibrium bracket began to close on the componentwise defect. Only
+# endemic_norm and endemic_abscissa moved, in the 12th digit, on 6 and 8
+# rows; every moved value lies as close or closer to the one at the
+# 60-digit y* (oracles.endemic_mpmath's Newton), within 6e-13
 _SWEEP_GOLDEN = {
     "supercritical": (["0.05", "1.5", "30"], "30 rows, 0 warnings",
-                      "a73883fb29f8d3c91fdcc2bab0c5948656063f6688acf9419617b29799e6c6a7"),
+                      "95dd2099359720408fbaf299f8b47ad8b95c51ded5d5351079ed7b3fb29276dd"),
     "with_failures": (["-0.5", "2.0", "41"], "41 rows, 9 warnings",
-                      "ce35d641f983be577ccb02371826a4befc59da4c9c363cd826f740687199b28d"),
+                      "3ee279205685c75ea8f751f241a05c33d09e9b7c9428809f84aab7e40f4f07cb"),
 }
 
 
@@ -396,19 +399,23 @@ def test_cli_sweep_csv_bytes_are_pinned(tmp_path, capsys, name):
 # 0.5 / R0 rounded to 10 digits, so the file does not depend on an R0 solve
 _SUBCRITICAL_SCALE = 0.05718634341
 
-# sha256 of the stdout and the --out JSON of the analysis commands, recorded
-# before jacobian_dfe, dfe_abscissa and the equilibrium JSON writer were
-# simplified. equilibrium stdout leaves out its "wrote <path>" line, the one
-# line that names the path; r0 and stability write no other path.
+# sha256 of the stdout and the --out JSON of the analysis commands. The
+# five_node pins were re-recorded when the Perron loop began to solve in
+# its iterate's basis and the equilibrium bracket to close on the
+# componentwise defect: the r0 residual, y*, z*, x* and the endemic
+# abscissa and disk margins moved in their last digits, with y* and x*
+# within 5e-13 relative of a 60-digit root (2.8e-12 and 7.0e-12 before).
+# equilibrium stdout leaves out its "wrote <path>" line, the one line that
+# names the path; r0 and stability write no other path.
 _ANALYSIS_GOLDEN = {
     ("five_node", "r0"): (
-        "0519793fe49c4a9da7cf4ad0a332882f049cdaf327dba130cc038ac5a4dae886", None),
+        "af7746b2631f78126e0ead223bdffedec6420403207f94f0327fddc841712ada", None),
     ("five_node", "equilibrium"): (
-        "c6a8b2ba38643029e04ad90df4b016a9c6264d2fd94a03e3f7a7d44f5221d5a2",
-        "f175cea552bc3a1b34bd8ecadae0e6c6d1fc0db46254d93ec8a22f2a3b9ad66a"),
+        "ba50bf20e9e30a528a60a7f385d8c1caf8d3e61d1b1c145a16a812f82dfcb371",
+        "3b48d3c0be57e469c8f2fe37001b9b4611533da28650ea3232ee465238a96376"),
     ("five_node", "stability"): (
-        "d0079331769f988f0b4188e6d7633d9906c5617eacedb4b198138478ca924c18",
-        "d0079331769f988f0b4188e6d7633d9906c5617eacedb4b198138478ca924c18"),
+        "fb163c795c8ab283d528845ac721aa4f42241139b1584522be1495603ab3a2a1",
+        "fb163c795c8ab283d528845ac721aa4f42241139b1584522be1495603ab3a2a1"),
     ("subcritical", "r0"): (
         "17b27b7d5017e1d691978be65ca9853027e24a09652c9a11f4b4eafeb1fa4ab3", None),
     ("subcritical", "equilibrium"): (
@@ -695,12 +702,12 @@ def test_cli_equilibrium_report(tmp_path):
 
 _REF5_EQUILIBRIUM_STDOUT = """\
 R0 = 8.743346
-y_star: [0.219530706149, 0.16224723877, 0.151089519968, 0.0711378354945, 0.27502757572]
-z_star: [0.731769020495, 0.405618096925, 0.755447599841, 0.711378354945, 0.458379292867]
-x_star: [0.0487002733564, 0.432134664306, 0.0934628801904, 0.217483809561, 0.266593131412]
-iterations: 16
-residual: 3.799e-13
-bracket_gap: 9.746e-13
+y_star: [0.219530706149, 0.16224723877, 0.151089519968, 0.0711378354945, 0.275027575721]
+z_star: [0.731769020495, 0.405618096925, 0.755447599842, 0.711378354945, 0.458379292868]
+x_star: [0.0487002733561, 0.432134664304, 0.0934628801899, 0.21748380956, 0.266593131412]
+iterations: 17
+residual: 3.861e-13
+bracket_gap: 1.607e-13
 wrote {out}
 """
 
@@ -708,29 +715,29 @@ _REF5_EQUILIBRIUM_JSON = """\
 {
   "r0": 8.74334622841763,
   "y_star": [
-    0.21953070614851508,
-    0.16224723876981792,
-    0.151089519968273,
-    0.07113783549447134,
-    0.2750275757203625
+    0.2195307061485806,
+    0.16224723877019787,
+    0.15108951996834025,
+    0.0711378354945269,
+    0.27502757572058195
   ],
   "z_star": [
-    0.7317690204950503,
-    0.4056180969245448,
-    0.755447599841365,
-    0.7113783549447134,
-    0.45837929286727086
+    0.7317690204952687,
+    0.40561809692549466,
+    0.7554475998417012,
+    0.711378354945269,
+    0.4583792928676366
   ],
   "x_star": [
-    0.048700273356434565,
-    0.43213466430563724,
-    0.09346288019036197,
-    0.21748380956081526,
-    0.2665931314123666
+    0.04870027335610128,
+    0.4321346643039214,
+    0.09346288018988512,
+    0.2174838095600752,
+    0.26659313141165
   ],
-  "iterations": 16,
-  "residual": 3.7991831902672857e-13,
-  "bracket_gap": 9.745537710159624e-13
+  "iterations": 17,
+  "residual": 3.861041620141346e-13,
+  "bracket_gap": 1.607047828144914e-13
 }
 """
 

@@ -110,6 +110,35 @@ def test_jacobian_endemic_rejects_non_stationary_point(ref5):
         jacobian_endemic(ref5, eq.y_star + 0.01, eq.z_star)
 
 
+@pytest.mark.parametrize("where", ["y", "z"])
+def test_a_nan_profile_is_not_an_equilibrium(ref5, where):
+    """A NaN entry fails the componentwise defect test, so the certificate
+    names the profile instead of reaching the eigensolver with a NaN
+    Jacobian."""
+    eq = solve_endemic(ref5)
+    y, z = eq.y_star.copy(), eq.z_star.copy()
+    {"y": y, "z": z}[where][2] = np.nan
+    with pytest.raises(NotEquilibriumError, match="fixed-point defect nan exceeds 1.000e-10"):
+        jacobian_endemic(ref5, y, z)
+    with pytest.raises(NotEquilibriumError):
+        endemic_certificate(ref5, y, z)
+
+
+def test_the_defect_test_is_componentwise():
+    """Draw 0 of the log-uniform family at d = 10 has a y* component near
+    3e-18. The solved point passes at 100 tol; that component moved by
+    1e-6 of itself, a change far below 100 tol in absolute terms, fails."""
+    model = validate_model(*helpers.log_uniform_family(10)[0])
+    eq = solve_endemic(model)
+    jacobian_endemic(model, eq.y_star, eq.z_star)
+    y = eq.y_star.copy()
+    k = int(np.argmin(y))
+    assert y[k] < 1e-17
+    y[k] *= 1.0 + 1e-6
+    with pytest.raises(NotEquilibriumError):
+        jacobian_endemic(model, y, eq.z_star)
+
+
 def test_eta_bound(out_regular3):
     eq = solve_endemic(out_regular3)
     # W y* = 1/2 below delta = 1

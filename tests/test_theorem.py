@@ -26,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import helpers
 import netsirs
+import oracles
 from netsirs import (
     INCONCLUSIVE,
     R0_TOL,
@@ -66,12 +67,13 @@ def _finite(tree) -> bool:
     return not isinstance(tree, float) or math.isfinite(tree)
 
 
-def _states(path: str, tmp) -> dict[str, tuple[str, float]]:
+def _states(path: str, tmp) -> tuple[dict[str, tuple[str, float]], list[str]]:
     """Run r0, equilibrium, stability and a one-row sweep on the model file
     at path. Assert that every failure exits 2 with one error line naming
     a numerical error, and that every output of exit 0 is finite where its
     format allows and matches the theorem. Returns, for each command that
-    exited 0, the state it reports and the R0 it names."""
+    exited 0 other than r0, the state it reports and the R0 it names, and
+    the commands that failed."""
     eq_json, csv = tmp / "equilibrium.json", tmp / "sweep.csv"
     runs = {
         "r0": _run("r0", "--model", path),
@@ -81,6 +83,7 @@ def _states(path: str, tmp) -> dict[str, tuple[str, float]]:
                       "--steps", "1", "--out", str(csv)),
     }
     states = {}
+    failed = [name for name, (code, _, _) in runs.items() if code != 0]
     for name, (code, out, err) in runs.items():
         if code != 0:
             assert code == 2 and out == "", (name, code, out)
@@ -146,23 +149,57 @@ def _states(path: str, tmp) -> dict[str, tuple[str, float]]:
         else:
             assert state == _state(r0), (name, state, r0)
     assert len({state for state, _ in states.values()}) <= 1, states
-    return states
+    return states, failed
 
 
-@pytest.mark.parametrize("d, above, below", [(2, 37, 3), (4, 22, 2)])
+@pytest.mark.parametrize("d, above, below", [(2, 37, 3), (4, 38, 2), (6, 38, 2), (10, 39, 1)])
 def test_theorem_holds_on_the_log_uniform_family(tmp_path, d, above, below):
-    """The 40 draws at d. Rates spanning 10^+-4 still fail the Perron loop
-    on some draws, which must then exit 2; the counts of draws that
-    stability places above and below keep the property from passing on
-    failures alone."""
+    """The 40 draws at d, with rates spanning up to 10^+-10: every command
+    exits 0 on every draw, and stability places the counts given above and
+    below the band."""
     counts = collections.Counter()
     path = str(tmp_path / "model.json")
     for W, gamma, delta in helpers.log_uniform_family(d):
         helpers.save_model(validate_model(W, gamma, delta), path)
-        states = _states(path, tmp_path)
-        if "stability" in states:
-            counts[states["stability"][0]] += 1
-    assert counts["above"] >= above and counts["below"] >= below, counts
+        states, failed = _states(path, tmp_path)
+        assert failed == []
+        counts[states["stability"][0]] += 1
+    assert counts == {"above": above, "below": below}
+
+
+def test_stability_closes_the_dfe_bracket_of_a_draw_spanning_decades(tmp_path):
+    """Draw 12 at d = 4: its DFE bracket, measured against the scale its
+    own ratios round on, closes, and stability exits 0 with the DFE
+    verdict of a supercritical model."""
+    path = tmp_path / "model.json"
+    helpers.save_model(validate_model(*helpers.log_uniform_family(4)[12]), str(path))
+    code, out, err = _run("stability", "--model", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["r0"] > 1.0 and report["dfe"]["verdict"] == UNSTABLE
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([(d, draw) for d in (2, 4, 6, 10) for draw in range(40)]))
+@example((10, 17))
+def test_r0_and_endemic_state_match_mpmath_on_the_log_uniform_family(case):
+    """R0 lies within tol max(1, R0) of a 50-digit root, and above the band
+    y* and x* lie within 1e-8 relative of the 50-digit equilibrium, component
+    by component. Draw 17 at d = 10 (R0 = 1.001) is the worst: its y* is ill
+    conditioned, 1.6e-9 off at a componentwise defect of 1e-12."""
+    d, draw = case
+    model = validate_model(*helpers.log_uniform_family(d)[draw])
+    r0, spectral = reproduction_number(model)
+    assert abs(r0 - oracles.r0_mpmath(model)) <= 1e-10 * max(1.0, r0)
+    if r0 - 1.0 <= R0_TOL:
+        return
+    solved = solve_endemic(model, spectral=spectral)
+    y = oracles.endemic_mpmath(model)
+    # x = y / (M y) holds at the root and loses no digits in floats
+    x = y / (model.M @ y)
+    assert np.max(np.abs(solved.y_star / y - 1.0)) <= 1e-8
+    assert np.all(solved.x_star > 0.0)
+    assert np.max(np.abs(solved.x_star / x - 1.0)) <= 1e-8
 
 
 def _five_node_at(r0_target: float):
@@ -171,15 +208,16 @@ def _five_node_at(r0_target: float):
     return validate_model(model.W * (r0_target / r0), model.gamma, model.delta)
 
 
-@pytest.mark.parametrize("excess, row", [(1e-10, "1,1.0000000001,0,9.99981104278e-11,nan"),
-                                         (-1e-10, "1,0.9999999999,0,-1.00001873437e-10,nan")])
+@pytest.mark.parametrize("excess, row", [(1e-10, "1,1.0000000001,0,9.99982285125e-11,nan"),
+                                         (-1e-10, "1,0.9999999999,0,-1.00001869577e-10,nan")])
 def test_five_node_inside_the_band(tmp_path, excess, row):
     # stability writes the near marker, equilibrium prints [near threshold],
-    # the sweep counts one warning and writes the row it always wrote
+    # the sweep counts one warning and writes its row; the DFE abscissa in
+    # it lies within 1.9e-15 of a 60-digit root of s(W - [gamma])
     path = str(tmp_path / "model.json")
     helpers.save_model(_five_node_at(1.0 + excess), path)
-    states = _states(path, tmp_path)
-    assert set(states) == {"equilibrium", "stability", "sweep"}
+    states, failed = _states(path, tmp_path)
+    assert failed == [] and set(states) == {"equilibrium", "stability", "sweep"}
     assert {state for state, _ in states.values()} == {"near"}
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == row
 
@@ -201,8 +239,8 @@ def test_commands_agree_on_the_threshold_state_near_r0_one(tmp_path_factory, bas
     tmp = tmp_path_factory.mktemp("band")
     path = str(tmp / "model.json")
     helpers.save_model(model, path)
-    states = _states(path, tmp)
-    assert set(states) == {"equilibrium", "stability", "sweep"}
+    states, failed = _states(path, tmp)
+    assert failed == [] and set(states) == {"equilibrium", "stability", "sweep"}
     # r0 is computed to about 1e-15, far inside the distance from the band's edges
     if abs(abs(excess) - R0_TOL) > 1e-12:
         want = _state(1.0 + excess)
