@@ -7,10 +7,10 @@ Stationary infection profiles are exactly the fixed points of
 taken componentwise. Phi is nondecreasing in y and M, nonincreasing in
 alpha, and maps everything into the box 0 <= y_i < ybar_i. When the
 reproduction number is at most one the origin is the only fixed point;
-above one there is exactly one more, strictly positive, and iterating Phi
-from the cap ybar walks down to it while iterating from a small positive
-multiple of the Perron vector walks up. solve_endemic runs both sequences
-and stops when the two-sided bracket closes.
+above one there is exactly one more, strictly positive, which Phi walks
+down to from a super-solution and up to from a positive sub-solution.
+solve_endemic starts both on the Perron ray, along which that point leaves
+the origin at R0 = 1, and stops when the two-sided bracket closes.
 
 Near R0 = 1 the Phi steps contract at a rate that tends to 1, so once
 they fail to halve the bracket, at a rate too slow to close it within
@@ -132,21 +132,24 @@ def iterate_phi(
         xi = nxt
 
 
-def _lower_bracket_start(model: ModelInstance, v_right: np.ndarray) -> np.ndarray:
-    """A strictly positive start xi with Phi(xi) >= xi componentwise.
-
-    Scales the positive eigenvector down from min(ybar) / (2 max v) by
-    halving until the map expands it, which must happen for R0 > 1 because
-    Phi(eps v) = eps R0 v + O(eps^2). Raises EpsilonStarNotFoundError if
-    the scale underflows (the supercritical premise was violated).
-    """
-    v = np.asarray(v_right, dtype=float)
-    eps = float(np.min(model.ybar) / (2.0 * np.max(v)))
-    while eps >= 1e-300:
-        xi = eps * v
-        if np.all(phi(xi, model.M, model.alpha) >= xi):
-            return xi
-        eps *= 0.5
+def _ray_bracket(model: ModelInstance, v: np.ndarray) -> np.ndarray:
+    """The bracket's starting rows [u, l] on the ray of v > 0. With m = M v
+    and c = (m - v) / ((1 + alpha) m v), Phi(eps v) >= eps v exactly when
+    eps <= min c, and Phi(eps v) <= eps v exactly when eps >= max c. So
+    l = 0.999 min(c) v is a sub-solution and u = min(1.001 max(c) v, ybar),
+    the least of two super-solutions, is one; on the Perron vector both
+    close in on y* as R0 falls to 1. One Phi step of the block checks
+    Phi(l) >= l > 0 and, off the cap, Phi(u) <= u (on it Phi < ybar holds
+    exactly, but rounding can pass ybar by an ulp); a failed check (m > v
+    was violated) raises EpsilonStarNotFoundError."""
+    m = model.M @ v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (m - v) / ((1.0 + model.alpha) * m * v)
+        Y = np.stack([np.minimum(1.001 * c.max() * v, model.ybar), 0.999 * c.min() * v])
+        image = phi(Y, model.M, model.alpha)
+    upper = (image[0] <= Y[0]) | (Y[0] == model.ybar)
+    if np.all(upper) and np.all(image[1] >= Y[1]) and np.all(Y[1] > 0.0):
+        return Y
     raise EpsilonStarNotFoundError("no positive scale made Phi expand the start vector")
 
 
@@ -195,21 +198,22 @@ def solve_endemic(
 ) -> EndemicEquilibrium | NoEndemic:
     """Locate the unique positive fixed point of Phi by two-sided bracketing.
 
-    The upper sequence starts at the cap ybar and is componentwise
-    nonincreasing; the lower starts at a small positive multiple of the
-    Perron vector and is nondecreasing. Both converge to the same point,
-    so iteration stops once their sup-norm gap closes to tol and then
-    their midpoint y, which is reported, passes the componentwise test
-    |y - Phi(y)| <= tol y that jacobian_endemic checks at 100 tol, which
-    resolves components far below tol. Stationarity gives z = alpha y
-    and x_k = gamma_k y_k / (W y)_k, positive where 1 - y - z cancels.
+    The upper sequence is componentwise nonincreasing and the lower
+    nondecreasing, both from the rows on the Perron ray (_ray_bracket).
+    Both converge to the same point, so iteration stops once their
+    sup-norm gap closes to tol and then their midpoint y, which is
+    reported, passes the componentwise test |y - Phi(y)| <= tol y that
+    jacobian_endemic checks at 100 tol, which resolves components far
+    below tol. Stationarity gives z = alpha y and x_k = gamma_k y_k /
+    (W y)_k, positive where 1 - y - z cancels.
 
     The two sequences are the rows of one (2, n) array Y, so a Phi step
     is psi(np.matvec(M, Y), alpha), which equals phi on each row bit for
-    bit. An iteration after one that shrank the gap by less than half, at
-    a rate that would leave Phi more than n + 25 steps to go, takes a
-    certified Newton-Fourier step (_newton_fourier) in place of the Phi
-    step, so the gap closes in a few dense solves even as R0 falls to 1.
+    bit. A dense solve costs about n/4 + 15 Phi steps, so an iteration
+    after one that shrank the gap by a factor q > 1/2 that would leave Phi
+    more than n + 25 steps to go, q^(n + 25) gap > tol, takes a certified
+    Newton-Fourier step (_newton_fourier) in place of the Phi step, and
+    the gap closes in a few dense solves even as R0 falls to 1.
     A model whose Phi steps always halve the gap takes none and gets the
     plain two-sided Phi bracket to the last bit. iterations counts loop
     iterations of either kind.
@@ -231,12 +235,8 @@ def solve_endemic(
     if r0 - 1.0 <= R0_TOL:
         return NoEndemic(r0=r0, near_threshold=r0 - 1.0 >= -R0_TOL)
 
-    # A dense solve costs about n/4 + 15 Phi steps and Newton-Fourier
-    # takes several, so it replaces the Phi step only when Phi, at the
-    # rate q of the last iteration, would need more than n + 25 further
-    # steps: q^(n + 25) gap > tol.
     M, alpha = model.M, model.alpha
-    Y = np.stack([model.ybar, _lower_bracket_start(model, spectral.v_right)])
+    Y = _ray_bracket(model, spectral.v_right)
     gap = float(np.max(np.abs(Y[0] - Y[1])))
     iterations = 0
     newton = False
@@ -249,7 +249,7 @@ def solve_endemic(
         MY = np.matvec(M, Y)
         Y = _newton_fourier(M, alpha, Y, MY, tol) if newton else psi(MY, alpha)
         last, gap = gap, float(np.max(np.abs(Y[0] - Y[1])))
-        q = gap / last
+        q = gap / last if last > 0.0 else 0.0
         newton = q > 0.5 and q ** (model.n + 25) * gap > tol
         iterations += 1
 

@@ -78,7 +78,7 @@ class NoConvergenceError(NumericalError):
 
 
 class EpsilonStarNotFoundError(NumericalError):
-    """No positive scale made the fixed-point map expand the lower start."""
+    """A starting row on the Perron ray failed its sub- or super-solution check."""
 
 
 class SimplexViolationError(NumericalError):

@@ -238,9 +238,10 @@ def csv_plain(path: str, header: str, table: np.ndarray) -> None:
 
 def bracket_serial(model, v_right: np.ndarray, tol: float = 1e-12):
     """The two-sided Phi bracket, one sequence at a time with plain
-    expressions: the upper from the cap, the lower from the largest
-    halving of min(ybar) / (2 max v) v that Phi expands, until the gap is
-    at most tol and the midpoint y has |y - Phi(y)| <= tol y. Returns
+    expressions, from the rows on the ray of v: with m = M v and
+    c = (m - v) / ((1 + alpha) m v), the upper from min(1.001 max(c) v,
+    ybar) and the lower from 0.999 min(c) v, until the gap is at most tol
+    and the midpoint y has |y - Phi(y)| <= tol y. Returns
     (midpoint, iterations, final sup-norm gap, halving), where halving
     says that every iteration shrank the gap to at most half, so that
     solve_endemic takes no Newton-Fourier step on the model."""
@@ -250,12 +251,10 @@ def bracket_serial(model, v_right: np.ndarray, tol: float = 1e-12):
         My = M @ y
         return My / (1.0 + (1.0 + alpha) * My)
 
-    eps = float(np.min(model.ybar) / (2.0 * np.max(v_right)))
-    lower = eps * v_right
-    while not np.all(phi(lower) >= lower):
-        eps *= 0.5
-        lower = eps * v_right
-    upper = model.ybar.copy()
+    m = M @ v_right
+    c = (m - v_right) / ((1.0 + alpha) * m * v_right)
+    upper = np.minimum(1.001 * c.max() * v_right, model.ybar)
+    lower = 0.999 * c.min() * v_right
     gap = float(np.max(np.abs(upper - lower)))
     iterations = 0
     halving = True

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import netsirs.cli
 import netsirs.equilibrium
 import oracles
 from netsirs import (
@@ -30,7 +31,7 @@ from netsirs import (
     solve_endemic,
     validate_model,
 )
-from netsirs.equilibrium import _lower_bracket_start
+from netsirs.equilibrium import _ray_bracket
 
 
 def test_psi_hand_values():
@@ -146,15 +147,16 @@ def test_iterate_phi_rejects_bad_start_before_stepping(out_regular3, monkeypatch
 
 def test_lower_bracket_start_expands(ref5):
     spec = reproduction_number(ref5)[1]
-    xi = _lower_bracket_start(ref5, spec.v_right)
-    assert np.all(xi > 0.0)
-    assert np.all(phi(xi, ref5.M, ref5.alpha) >= xi)
-    assert np.all(xi <= ref5.ybar)
+    upper, lower = _ray_bracket(ref5, spec.v_right)
+    assert np.all(lower > 0.0)
+    assert np.all(phi(lower, ref5.M, ref5.alpha) >= lower)
+    assert np.all(phi(upper, ref5.M, ref5.alpha) <= upper)
+    assert np.all(lower <= upper) and np.all(upper <= ref5.ybar)
 
 
 def test_solve_endemic_raises_when_phi_never_expands_the_start():
     """Along e_2 of five_node Phi shrinks every scale of the start, as
-    M[1, 1] = 0.4 < 1, so the halving runs out of scales."""
+    M[1, 1] = 0.4 < 1, so the ray has no positive sub-solution."""
     model = load_model(FIVE_NODE)
     spec = reproduction_number(model)[1]
     with pytest.raises(EpsilonStarNotFoundError, match="no positive scale made Phi expand"):
@@ -184,8 +186,7 @@ def test_solve_endemic_respects_simplex(ref5):
 
 def test_solve_endemic_bracket_sequences_stay_ordered(ref5):
     spec = reproduction_number(ref5)[1]
-    upper = ref5.ybar.copy()
-    lower = _lower_bracket_start(ref5, spec.v_right)
+    upper, lower = _ray_bracket(ref5, spec.v_right)
     for _ in range(200):
         up_next = phi(upper, ref5.M, ref5.alpha)
         lo_next = phi(lower, ref5.M, ref5.alpha)
@@ -292,6 +293,85 @@ def test_solve_endemic_near_threshold_matches_mpmath(eps):
     assert np.max(solved.y_star) < eps
 
 
+# models near threshold, each closed in at most 10 Newton-Fourier solves
+# from the ray rows; a bracket that starts at the cap and halves its way
+# down took 31, 23, 16 and 22
+_NEAR = {
+    "five_node at 1 + 2e-9": lambda: _five_node_at(1.0 + 2e-9),
+    "five_node at 1 + 1e-6": lambda: _five_node_at(1.0 + 1e-6),
+    "five_node at 1 + 1e-4": lambda: _five_node_at(1.0 + 1e-4),
+    "random n 200 at 1 + 1e-6": lambda: helpers.random_supercritical(
+        np.random.default_rng(5), 200, 1.0 + 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEAR))
+def test_solve_endemic_near_threshold_takes_few_dense_solves(monkeypatch, case):
+    model = _NEAR[case]()
+    step = netsirs.equilibrium._newton_fourier
+    calls = []
+    monkeypatch.setattr(netsirs.equilibrium, "_newton_fourier",
+                        lambda *args: calls.append(1) or step(*args))
+    solved = solve_endemic(model, tol=TOL)
+    assert isinstance(solved, EndemicEquilibrium)
+    assert solved.bracket_gap <= TOL
+    assert 0 < len(calls) <= 10
+
+
+def _assert_ray_rows_certified(model):
+    """The ray rows are ordered inside the cap, pass their checks without
+    rounding slack, and hold the solved y*. Where the upper row is capped,
+    Phi of it, and so y*, may round to an ulp above the cap."""
+    _, spectral = reproduction_number(model)
+    upper, lower = _ray_bracket(model, spectral.v_right)
+    assert np.all(0.0 < lower) and np.all(lower <= upper) and np.all(upper <= model.ybar)
+    assert np.all(phi(lower, model.M, model.alpha) >= lower)
+    ceiling = np.where(upper == model.ybar, np.nextafter(upper, 2.0), upper)
+    assert np.all(phi(upper, model.M, model.alpha) <= ceiling)
+    solved = solve_endemic(model, tol=TOL, spectral=spectral)
+    assert np.all(lower <= solved.y_star) and np.all(solved.y_star <= ceiling)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.floats(-8.0, math.log10(7.0), exclude_min=True))
+def test_ray_rows_are_certified(n, seed, log_excess):
+    """Strongly connected models with R0 in (1 + 1e-8, 8]."""
+    _assert_ray_rows_certified(helpers.random_supercritical(
+        np.random.default_rng(seed), n, 1.0 + 10.0**log_excess))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 10])
+def test_ray_rows_are_certified_on_the_log_uniform_family(d):
+    """Every supercritical draw at d, with rates spanning up to 10^+-10."""
+    models = [validate_model(*draw) for draw in helpers.log_uniform_family(d)]
+    above = [m for m in models if reproduction_number(m)[0] - 1.0 > R0_TOL]
+    assert above
+    for model in above:
+        _assert_ray_rows_certified(model)
+
+
+def test_solve_endemic_raises_when_the_upper_row_fails_its_check(monkeypatch, capsys):
+    """A start that fails its check raises, with no fallback, and the CLI
+    exits 2 with the one error line."""
+    step = netsirs.equilibrium.phi
+
+    def upper_fails(y, M, alpha):
+        image = step(y, M, alpha)
+        if np.ndim(y) == 2:
+            image[0] = 2.0 * y[0]
+        return image
+
+    monkeypatch.setattr(netsirs.equilibrium, "phi", upper_fails)
+    with pytest.raises(EpsilonStarNotFoundError, match="no positive scale made Phi expand"):
+        solve_endemic(load_model(FIVE_NODE))
+    assert netsirs.cli.main(["equilibrium", "--model", FIVE_NODE]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: EpsilonStarNotFoundError: "
+                            "no positive scale made Phi expand the start vector\n")
+
+
 @pytest.mark.parametrize("excess", [sign * e for e in (1e-11, 1e-10, 1e-9, 1e-8, 1e-7)
                                     for sign in (1.0, -1.0)])
 def test_solve_endemic_decides_threshold_on_one_difference(excess):
@@ -376,10 +456,10 @@ def test_solve_endemic_certified_bracket(n, seed, log_excess):
 # cross by an ulp and the (rows, step kind) state recurs with the period
 # given, first at the iteration given (numpy 2.4.6 on OpenBLAS 0.3.31)
 _STALLED = {
-    "ref5, period 2": (None, 2, 24),
-    "seed 35 n 3, period 3": ((35, 3), 3, 24),
-    "seed 2 n 6, period 4": ((2, 6), 4, 25),
-    "seed 1 n 6, period 7": ((1, 6), 7, 35),
+    "ref5, period 2": (None, 2, 22),
+    "seed 35 n 3, period 3": ((35, 3), 3, 30),
+    "seed 28 n 3, period 4": ((28, 3), 4, 37),
+    "seed 1 n 6, period 7": ((1, 6), 7, 33),
 }
 
 
@@ -399,3 +479,19 @@ def test_solve_endemic_stops_when_the_bracket_state_recurs(monkeypatch, case):
     iterations = int(str(err.value).split("after ")[1].split()[0])
     # Brent's check finds the cycle by iteration 2 max(first, period) + period
     assert first + period <= iterations <= 2 * max(first, period) + period
+
+
+def test_cli_equilibrium_exits_two_when_the_rows_meet_above_tol(tmp_path, capsys):
+    """On seed 6 n 6 at tol 1e-16 the bracket rows become equal while the
+    defect of their midpoint is still above tol. The next gap ratio, with
+    a zero denominator, counts as 0, so the loop takes Phi steps on to its
+    rounding floor and stalls, and the CLI exits 2 with one error line."""
+    model = helpers.random_supercritical(np.random.default_rng(6), 6, 2.0)
+    with pytest.raises(NoConvergenceError, match="equilibrium bracket stalled"):
+        solve_endemic(model, tol=1e-16)
+    path = tmp_path / "model.json"
+    helpers.save_model(model, path)
+    assert netsirs.cli.main(["equilibrium", "--model", str(path), "--tol", "1e-16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoConvergenceError: equilibrium bracket stalled ")
+    assert err.count("\n") == 1

@@ -4,6 +4,8 @@ import ast
 import inspect
 import os
 import re
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -105,3 +107,13 @@ def test_every_loop_stops_in_the_two_forms_of_stop_rule(monkeypatch, loop):
             run(model)
         assert re.fullmatch(rf"{name} did not close to {default_tol} in {cap} {unit}",
                             str(err.value))
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no SIGALRM timer here")
+def test_wall_clock_guard_fails_a_test_that_overruns():
+    """conftest arms a wall-clock timer for every test; cut short here, it
+    fails the sleeping test with its message."""
+    assert signal.getitimer(signal.ITIMER_REAL)[0] > 0.0
+    signal.setitimer(signal.ITIMER_REAL, 0.01)
+    with pytest.raises(pytest.fail.Exception, match="ran past 60 s of wall time"):
+        time.sleep(5.0)

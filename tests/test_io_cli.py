@@ -373,15 +373,15 @@ def test_cli_names_a_short_rate_vector(tmp_path, capsys):
 
 
 # sha256 of `netsirs sweep` CSVs on five_node, re-recorded when the
-# equilibrium bracket began to close on the componentwise defect. Only
-# endemic_norm and endemic_abscissa moved, in the 12th digit, on 6 and 8
-# rows; every moved value lies as close or closer to the one at the
-# 60-digit y* (oracles.endemic_mpmath's Newton), within 6e-13
+# equilibrium bracket began to start from the two rows on the Perron ray.
+# Only endemic_norm and endemic_abscissa moved, by one in the 12th digit,
+# on 3 and 5 rows; every moved value lies within 7e-13 of the one at the
+# 60-digit y* (oracles.endemic_mpmath's Newton), as before
 _SWEEP_GOLDEN = {
     "supercritical": (["0.05", "1.5", "30"], "30 rows, 0 warnings",
-                      "95dd2099359720408fbaf299f8b47ad8b95c51ded5d5351079ed7b3fb29276dd"),
+                      "2a3686f74553aa1e8cbfde89c4aa7518293e63cdaa2d2c45f7934f685e23164a"),
     "with_failures": (["-0.5", "2.0", "41"], "41 rows, 9 warnings",
-                      "3ee279205685c75ea8f751f241a05c33d09e9b7c9428809f84aab7e40f4f07cb"),
+                      "b836f71f6aac55df7ee6daed94968a2692f25417a730116237343a6db3cb7d61"),
 }
 
 
@@ -400,22 +400,22 @@ def test_cli_sweep_csv_bytes_are_pinned(tmp_path, capsys, name):
 _SUBCRITICAL_SCALE = 0.05718634341
 
 # sha256 of the stdout and the --out JSON of the analysis commands. The
-# five_node pins were re-recorded when the Perron loop began to solve in
-# its iterate's basis and the equilibrium bracket to close on the
-# componentwise defect: the r0 residual, y*, z*, x* and the endemic
-# abscissa and disk margins moved in their last digits, with y* and x*
-# within 5e-13 relative of a 60-digit root (2.8e-12 and 7.0e-12 before).
+# five_node equilibrium and stability pins were re-recorded when the
+# equilibrium bracket began to start from the two rows on the Perron ray:
+# y*, z*, x* and the endemic abscissa and disk margins moved in their last
+# digits, with y* and x* within 3.0e-13 and 1.8e-13 relative of a
+# 60-digit root (4.6e-13 and 2.9e-13 before).
 # equilibrium stdout leaves out its "wrote <path>" line, the one line that
 # names the path; r0 and stability write no other path.
 _ANALYSIS_GOLDEN = {
     ("five_node", "r0"): (
         "af7746b2631f78126e0ead223bdffedec6420403207f94f0327fddc841712ada", None),
     ("five_node", "equilibrium"): (
-        "ba50bf20e9e30a528a60a7f385d8c1caf8d3e61d1b1c145a16a812f82dfcb371",
-        "3b48d3c0be57e469c8f2fe37001b9b4611533da28650ea3232ee465238a96376"),
+        "a6b8f4c15408ca552bbe277632b5afa62cdb31a84653ea52b46de7875768e354",
+        "5e26fafb29d62afdc907b18e65cb04105a4e993dcd87af565244e4a7155e297c"),
     ("five_node", "stability"): (
-        "fb163c795c8ab283d528845ac721aa4f42241139b1584522be1495603ab3a2a1",
-        "fb163c795c8ab283d528845ac721aa4f42241139b1584522be1495603ab3a2a1"),
+        "59d0005c45701eb1cacbc859aec31c5d4aa3acb66617a62c31494fb3e8b260b3",
+        "59d0005c45701eb1cacbc859aec31c5d4aa3acb66617a62c31494fb3e8b260b3"),
     ("subcritical", "r0"): (
         "17b27b7d5017e1d691978be65ca9853027e24a09652c9a11f4b4eafeb1fa4ab3", None),
     ("subcritical", "equilibrium"): (
@@ -703,11 +703,11 @@ def test_cli_equilibrium_report(tmp_path):
 _REF5_EQUILIBRIUM_STDOUT = """\
 R0 = 8.743346
 y_star: [0.219530706149, 0.16224723877, 0.151089519968, 0.0711378354945, 0.275027575721]
-z_star: [0.731769020495, 0.405618096925, 0.755447599842, 0.711378354945, 0.458379292868]
+z_star: [0.731769020495, 0.405618096926, 0.755447599842, 0.711378354945, 0.458379292868]
 x_star: [0.0487002733561, 0.432134664304, 0.0934628801899, 0.21748380956, 0.266593131412]
-iterations: 17
-residual: 3.861e-13
-bracket_gap: 1.607e-13
+iterations: 16
+residual: 2.481e-13
+bracket_gap: 1.582e-13
 wrote {out}
 """
 
@@ -715,29 +715,29 @@ _REF5_EQUILIBRIUM_JSON = """\
 {
   "r0": 8.74334622841763,
   "y_star": [
-    0.2195307061485806,
-    0.16224723877019787,
-    0.15108951996834025,
-    0.0711378354945269,
-    0.27502757572058195
+    0.21953070614858528,
+    0.16224723877022468,
+    0.15108951996834502,
+    0.07113783549453083,
+    0.27502757572059744
   ],
   "z_star": [
-    0.7317690204952687,
-    0.40561809692549466,
-    0.7554475998417012,
-    0.711378354945269,
-    0.4583792928676366
+    0.7317690204952843,
+    0.4056180969255617,
+    0.7554475998417252,
+    0.7113783549453083,
+    0.45837929286766244
   ],
   "x_star": [
-    0.04870027335610128,
-    0.4321346643039214,
-    0.09346288018988512,
-    0.2174838095600752,
-    0.26659313141165
+    0.048700273356098854,
+    0.4321346643039655,
+    0.09346288018988289,
+    0.2174838095600781,
+    0.2665931314116557
   ],
-  "iterations": 17,
-  "residual": 3.861041620141346e-13,
-  "bracket_gap": 1.607047828144914e-13
+  "iterations": 16,
+  "residual": 2.480509680639799e-13,
+  "bracket_gap": 1.5823453658470044e-13
 }
 """
 
