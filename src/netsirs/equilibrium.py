@@ -132,6 +132,14 @@ def iterate_phi(
         xi = nxt
 
 
+def x_star(model: ModelInstance, y: np.ndarray) -> np.ndarray:
+    """Susceptible fractions x*_k = gamma_k y_k / (W y)_k of a stationary
+    profile y, exact up to rounding where 1 - y - z cancels; 1 where
+    y_k = 0, as at the infection-free state."""
+    y = np.asarray(y, dtype=float)
+    return np.divide(model.gamma * y, model.W @ y, out=np.ones_like(y), where=y != 0.0)
+
+
 def _ray_bracket(model: ModelInstance, v: np.ndarray) -> np.ndarray:
     """The bracket's starting rows [u, l] on the ray of v > 0. With m = M v
     and c = (m - v) / ((1 + alpha) m v), Phi(eps v) >= eps v exactly when
@@ -167,7 +175,9 @@ def _newton_fourier(
     F'(u) = I - [Psi'(M u)] M against [F(u), F(l), 1] gives both Newton
     iterates and w = F'(u)^-1 1 > 0. Each iterate is pushed outward by
     kappa w, kappa = tol / (4 max w), which raises its margin in F by
-    about kappa, and is kept only if it lies in the old bracket and
+    about kappa. Phi is monotone, so u' = min(pushed iterate, Phi(u)) is
+    a super-solution when the iterate is, l' = max(pushed iterate, Phi(l))
+    likewise a sub-solution, and each is kept if it
     passes its check in floating point: Phi(u') <= u' above,
     Phi(l') >= l' > 0 below. A row that fails takes its Phi step.
     Returns the new rows.
@@ -181,12 +191,12 @@ def _newton_fourier(
     except np.linalg.LinAlgError:
         return stepped
     push = (tol / (4.0 * w.max())) * w
-    cand = np.stack([(upper - du) + push, (lower - dl) - push])
+    cand = np.stack([np.minimum((upper - du) + push, stepped[0]),
+                     np.maximum((lower - dl) - push, stepped[1])])
     image = phi(cand, M, alpha)
-    inside = np.all((lower <= cand) & (cand <= upper), axis=1)
-    if inside[0] and np.all(image[0] <= cand[0]):
+    if np.all(image[0] <= cand[0]):
         stepped[0] = cand[0]
-    if inside[1] and np.all(image[1] >= cand[1]) and np.all(cand[1] > 0.0):
+    if np.all(image[1] >= cand[1]) and np.all(cand[1] > 0.0):
         stepped[1] = cand[1]
     return stepped
 
@@ -204,8 +214,7 @@ def solve_endemic(
     sup-norm gap closes to tol and then their midpoint y, which is
     reported, passes the componentwise test |y - Phi(y)| <= tol y that
     jacobian_endemic checks at 100 tol, which resolves components far
-    below tol. Stationarity gives z = alpha y and x_k = gamma_k y_k /
-    (W y)_k, positive where 1 - y - z cancels.
+    below tol. Stationarity gives z = alpha y and x = x_star(model, y).
 
     The two sequences are the rows of one (2, n) array Y, so a Phi step
     is psi(np.matvec(M, Y), alpha), which equals phi on each row bit for
@@ -254,5 +263,5 @@ def solve_endemic(
         iterations += 1
 
     return EndemicEquilibrium(y_star=y_star, z_star=alpha * y_star,
-                              x_star=model.gamma * y_star / (model.W @ y_star),
+                              x_star=x_star(model, y_star),
                               iterations=iterations, residual=width, bracket_gap=gap)

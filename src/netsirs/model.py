@@ -8,8 +8,10 @@ able to travel between any two populations, so the support digraph of W
 (an edge i -> j wherever W[i, j] > 0) has to be strongly connected.
 
 Each population splits into susceptible, infected and recovered fractions
-(x_i, y_i, z_i) that sum to one; the library takes a state as y and z
-and forms x as (1 - y) - z.
+(x_i, y_i, z_i) that sum to one; the library takes a state as y and z.
+It forms x as (1 - y) - z for trajectory states only: at a stationary
+state it takes x* = gamma y* / (W y*) (equilibrium.x_star), which does
+not cancel where x* is small.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ reduced 2n x 2n Jacobian with a dense eigensolver. The structural route
 eliminates the recovered block through the Schur complement S(lam) and
 checks, sample by sample, that every Gershgorin disk of H(lam) =
 S(lam) [y_star] stays strictly inside the open left half-plane for
-Re(lam) > -eta, where eta = min_i min((W y_star)_i, delta_i). The two
+Re(lam) > -eta, where eta = min_i min((W y_star)_i, delta_i); at
+x* = gamma y* / (W y*) each disk margin has a closed form. The two
 routes fail independently, so agreement is strong evidence the profile
 is a sink with decay rate at least eta.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EndemicEquilibrium, phi
+from .equilibrium import EndemicEquilibrium, phi, x_star
 from .errors import (
     EigenFailureError,
     InvalidAtBoundaryError,
@@ -46,12 +47,9 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class GershgorinSample:
-    """Disk check for one shift lam.
-
-    min_margin is the distance from the rightmost disk edge to the
-    imaginary axis, min_k (-Re H_kk - R_k); all_disks_left means it is
-    strictly positive.
-    """
+    """Disk check for one shift lam: min_margin = min_k (-Re H_kk - R_k),
+    the distance from the rightmost disk edge to the imaginary axis, and
+    all_disks_left means it is strictly positive."""
 
     lam: complex
     all_disks_left: bool
@@ -69,10 +67,9 @@ class StabilityCertificate:
 
 
 def jacobian_dfe(model: ModelInstance) -> np.ndarray:
-    """Reduced Jacobian at the infection-free state, jacobian_endemic at
-    y = z = 0 (defect exactly 0): [[W - [gamma], -0], [[gamma], -[delta]]].
-    Kept for tests and oracles; dfe_abscissa gives its abscissa without
-    forming it."""
+    """Reduced Jacobian [[W - [gamma], 0], [[gamma], -[delta]]] at the
+    infection-free state, jacobian_endemic at the origin. Kept for tests
+    and oracles; dfe_abscissa gives its abscissa without forming it."""
     origin = np.zeros(model.n)
     return jacobian_endemic(model, origin, origin)
 
@@ -128,7 +125,9 @@ def jacobian_endemic(
     z_star: np.ndarray,
     tol: float = 1e-12,
 ) -> np.ndarray:
-    """Reduced Jacobian at a stationary point (y_star, z_star).
+    """Reduced Jacobian [[[x*] W - [W y*] - [gamma], -[W y*]], [[gamma],
+    -[delta]]] at a stationary point (y_star, z_star), with x* =
+    x_star(model, y_star), which is 1 at the origin (jacobian_dfe).
 
     Raises NotEquilibriumError unless |y - Phi(y)| <= 100 tol y and
     |z - alpha y| <= 100 tol z componentwise, with tol the tolerance the
@@ -146,7 +145,7 @@ def jacobian_endemic(
             worst = np.max(defect / point)
         raise NotEquilibriumError(f"fixed-point defect {worst:.3e} exceeds {bound:.3e}")
     n = model.n
-    x = 1.0 - y - z
+    x = x_star(model, y)
     wy = model.W @ y
     J = np.zeros((2 * n, 2 * n))
     J[:n, :n] = x[:, None] * model.W - np.diag(wy) - np.diag(model.gamma)
@@ -213,19 +212,22 @@ def gershgorin_certificate(
     the spectrum of H(lam) and the zero set of det S(lam), strictly in
     the open left half-plane. Samples must satisfy Re(lam) > -eta.
 
-    At an equilibrium x*_k (W y*)_k = gamma_k y*_k, so with
-    m_k = (W y*)_k y*_k the k-th margin is exactly
+    At x* = x_star(model, y*), x*_k (W y*)_k = gamma_k y*_k, so with
+    m_k = (W y*)_k y*_k the k-th margin -Re(H_kk) - R_k is exactly
 
-        margin_k(lam) = m_k + Re(lam) y*_k + gamma_k m_k Re(1/(delta_k + lam)).
+        margin_k(lam) = m_k + Re(lam) y*_k + gamma_k m_k Re(1/(delta_k + lam)),
 
-    The last term is nonnegative for Re(lam) > -delta_k, hence on the
-    whole sample half-plane, so every min_margin is at least
+    computed so, in O(n) a sample, with y*_k ((W y*)_k + Re lam) for its
+    first two terms. The last term is nonnegative for Re(lam) > -delta_k,
+    hence on the whole sample half-plane, so every min_margin is at least
 
         F(lam) = min_k y*_k ((W y*)_k + min(Re lam, 0)),
 
     which equals m* = min_k m_k on Re(lam) >= 0 and stays positive, at
     least (Re(lam) + eta) min(y*), for Re(lam) in (-eta, 0). Left of the
     axis m* itself is no bound: the last term vanishes as |Im lam| grows.
+    Nothing cancels in floats either: each margin sums two nonnegative
+    roundings, so a sample fails only where its margin underflows.
     """
     y = np.asarray(y_star, dtype=float)
     eta = eta_bound(model, y)
@@ -241,24 +243,10 @@ def gershgorin_certificate(
     if outside.size:
         lam = complex(lams[outside[0]])
         raise ModelInputError(f"sample {lam} lies outside the half-plane Re > {-eta:.6g}")
-    # The terms of S(lam) that do not depend on lam, formed once: the
-    # radii R_k are the off-diagonal row sums of |x*_k W_kj y*_j|, and
-    # each sample adds only its diagonal H_kk, so every float equals the
-    # one from the full S(lam) [y*] (tests/oracles.py::schur_matrix) with
-    # its diagonal zeroed.
-    x = 1.0 - y - model.alpha * y
     wy = model.W @ y
-    base = wy + model.gamma
-    inflow = model.gamma * wy
-    own = x * np.diagonal(model.W)
-    moduli = x[:, None] * model.W
-    moduli *= y
-    np.abs(moduli, moduli)
-    np.fill_diagonal(moduli, 0.0)
-    radii = moduli.sum(axis=1)
-    # H_kk = (x*_k W_kk - (wy + gamma + lam + gamma wy / shifts)_k) y*_k, one row per sample
-    h = (own - (base + lams[:, None] + inflow / shifts)) * y
-    min_margins = (-(h.real + radii)).min(axis=1)
+    # margin_k(lam), one row per sample
+    min_margins = (y * (wy + lams.real[:, None])
+                   + model.gamma * (wy * y) * (1.0 / shifts).real).min(axis=1)
     return [GershgorinSample(lam=complex(lam), all_disks_left=bool(m > 0.0), min_margin=float(m))
             for lam, m in zip(lams.tolist(), min_margins.tolist())]
 

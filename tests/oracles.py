@@ -12,7 +12,8 @@ expressions, fixed points by an exhaustive grid scan
 polished with Newton steps, RK4 steps as plain array expressions instead
 of the preallocated in-place loop, the equilibrium bracket as two
 serial Phi sequences instead of one stacked pair with Newton-Fourier
-steps, the endemic equilibrium to 50 digits by mpmath Newton steps, and
+steps, the endemic equilibrium to 50 digits by mpmath Newton steps and
+its Jacobian abscissa by an mpmath eigensolve, and
 CSV files cell by cell instead of in chunks that format a settled tail
 once.
 """
@@ -188,16 +189,16 @@ def schur_matrix(model, y_star: np.ndarray, lam: complex) -> np.ndarray:
                  - [gamma] ([delta] + lam I)^-1 [W y*],
 
     whose zeros in det coincide with the Jacobian eigenvalues off the set
-    {-delta_i}. Raises SingularShiftError at a pole, a lam within
-    1e-13 delta_i of some -delta_i, as gershgorin_certificate does."""
+    {-delta_i}, with x* = gamma y* / (W y*), the x* the Jacobian takes.
+    Raises SingularShiftError at a pole, a lam within 1e-13 delta_i of
+    some -delta_i, as gershgorin_certificate does."""
     y = np.asarray(y_star, dtype=float)
     lam = complex(lam)
     shifts = model.delta + lam
     if np.any(np.abs(shifts) <= 1e-13 * model.delta):
         raise SingularShiftError("lam coincides with -delta_i")
-    z = model.alpha * y
-    x = 1.0 - y - z
     wy = model.W @ y
+    x = model.gamma * y / wy
     S = (x[:, None] * model.W).astype(complex)
     diag = wy + model.gamma + lam + model.gamma * wy / shifts
     S[np.diag_indices_from(S)] -= diag
@@ -281,39 +282,69 @@ def r0_mpmath(model, dps: int = 50) -> float:
         return float(max(mpmath.re(lam) for lam in mpmath.eig(M, left=False, right=False)))
 
 
+def _endemic_mp(model, dps: int):
+    """W, gamma, delta and the endemic y* of the float model as mpmath
+    values, y* to dps digits by Newton steps on the convex
+    F(y) = y - Phi(y), with M = [gamma]^-1 W and alpha = gamma / delta
+    formed in mpmath, from the cap ybar. Above y* each F'(y) is a
+    nonsingular M-matrix, so the iterates decrease monotonically to y*;
+    near R0 = 1 they first halve their distance per step, hence the
+    generous step budget. Call inside mpmath.workdps(dps)."""
+    import mpmath
+
+    n = model.n
+    W = [[mpmath.mpf(float(v)) for v in row] for row in model.W]
+    gamma = [mpmath.mpf(float(v)) for v in model.gamma]
+    delta = [mpmath.mpf(float(v)) for v in model.delta]
+    M = mpmath.matrix([[W[i][j] / gamma[i] for j in range(n)] for i in range(n)])
+    rate = [1 + gamma[i] / delta[i] for i in range(n)]
+    y = mpmath.matrix([1 / r for r in rate])
+    for _ in range(500):
+        My = M * y
+        F = mpmath.matrix([y[i] - My[i] / (1 + rate[i] * My[i]) for i in range(n)])
+        J = mpmath.matrix(n, n)
+        for i in range(n):
+            slope = 1 / (1 + rate[i] * My[i]) ** 2
+            for j in range(n):
+                J[i, j] = (1 if i == j else 0) - slope * M[i, j]
+        step = mpmath.lu_solve(J, F)
+        y = y - step
+        if mpmath.norm(step, mpmath.inf) <= mpmath.mpf(10) ** (10 - dps):
+            return W, gamma, delta, [y[i] for i in range(n)]
+    raise AssertionError("mpmath Newton did not converge in 500 steps")
+
+
 def endemic_mpmath(model, dps: int = 50) -> np.ndarray:
     """The endemic y* of the float model (W, gamma, delta), computed with
-    dps digits and rounded to floats.
+    dps digits (_endemic_mp) and rounded to floats."""
+    import mpmath
 
-    Newton steps on the convex F(y) = y - Phi(y), with M = [gamma]^-1 W and
-    alpha = gamma / delta formed in mpmath, start from the cap ybar. Above
-    y* each F'(y) is a nonsingular M-matrix, so the iterates decrease
-    monotonically to y*; near R0 = 1 they first halve their distance per
-    step, hence the generous step budget.
-    """
+    with mpmath.workdps(dps):
+        return np.array([float(v) for v in _endemic_mp(model, dps)[3]])
+
+
+def endemic_abscissa_mpmath(model, dps: int = 60) -> float:
+    """Spectral abscissa of the reduced Jacobian at the endemic state of
+    the float model, all in dps digits: y* from _endemic_mp, z* = alpha y*
+    and x* = 1 - y* - z*, which at dps digits cancels nothing a float can
+    hold, the 2n x 2n Jacobian formed in mpmath and its spectrum from
+    mpmath.eig."""
     import mpmath
 
     n = model.n
     with mpmath.workdps(dps):
-        W = [[mpmath.mpf(float(v)) for v in row] for row in model.W]
-        gamma = [mpmath.mpf(float(v)) for v in model.gamma]
-        delta = [mpmath.mpf(float(v)) for v in model.delta]
-        M = mpmath.matrix([[W[i][j] / gamma[i] for j in range(n)] for i in range(n)])
-        rate = [1 + gamma[i] / delta[i] for i in range(n)]
-        y = mpmath.matrix([1 / r for r in rate])
-        for _ in range(500):
-            My = M * y
-            F = mpmath.matrix([y[i] - My[i] / (1 + rate[i] * My[i]) for i in range(n)])
-            J = mpmath.matrix(n, n)
-            for i in range(n):
-                slope = 1 / (1 + rate[i] * My[i]) ** 2
-                for j in range(n):
-                    J[i, j] = (1 if i == j else 0) - slope * M[i, j]
-            step = mpmath.lu_solve(J, F)
-            y = y - step
-            if mpmath.norm(step, mpmath.inf) <= mpmath.mpf(10) ** (10 - dps):
-                return np.array([float(v) for v in y])
-    raise AssertionError("mpmath Newton did not converge in 500 steps")
+        W, gamma, delta, y = _endemic_mp(model, dps)
+        wy = [mpmath.fsum(W[i][j] * y[j] for j in range(n)) for i in range(n)]
+        J = mpmath.matrix(2 * n, 2 * n)
+        for i in range(n):
+            x = 1 - y[i] - gamma[i] * y[i] / delta[i]
+            for j in range(n):
+                J[i, j] = x * W[i][j]
+            J[i, i] -= wy[i] + gamma[i]
+            J[i, n + i] = -wy[i]
+            J[n + i, i] = gamma[i]
+            J[n + i, n + i] = -delta[i]
+        return float(max(mpmath.re(lam) for lam in mpmath.eig(J, left=False, right=False)))
 
 
 def batch_phi(Y: np.ndarray, M: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -351,6 +351,38 @@ def test_ray_rows_are_certified_on_the_log_uniform_family(d):
         _assert_ray_rows_certified(model)
 
 
+# draw 17 of the log-uniform family at d = 10: n = 2, R0 = 1.0006 and
+# y*_1 = 8.4e-13, far below tol. A Newton-Fourier candidate pushed out
+# by tol / (4 max w) left the bracket on that component, and a loop that
+# threw it away closed only at Phi's linear rate, in 14,496 iterations.
+def test_newton_fourier_closes_draw_17_in_few_iterations():
+    model = validate_model(*helpers.log_uniform_family(10)[17])
+    solved = solve_endemic(model)
+    assert isinstance(solved, EndemicEquilibrium)
+    assert solved.iterations <= 50
+
+
+def test_newton_fourier_draw_17_matches_mpmath():
+    """Closing on the componentwise defect in Newton-Fourier steps leaves
+    y* within 1e-11 relative of the 60-digit root (1.6e-9 at Phi's rate)."""
+    model = validate_model(*helpers.log_uniform_family(10)[17])
+    solved = solve_endemic(model)
+    assert np.max(np.abs(solved.y_star / oracles.endemic_mpmath(model, dps=60) - 1.0)) <= 1e-11
+
+
+def test_newton_fourier_closes_the_log_uniform_family_in_few_iterations():
+    """Every supercritical draw at d = 2, 4, 6 and 10 together takes fewer
+    than 2,000 iterations (16,016 while candidates outside the old bracket
+    were thrown away)."""
+    total = 0
+    for d in (2, 4, 6, 10):
+        for draw in helpers.log_uniform_family(d):
+            solved = solve_endemic(validate_model(*draw))
+            if isinstance(solved, EndemicEquilibrium):
+                total += solved.iterations
+    assert total < 2_000
+
+
 def test_solve_endemic_raises_when_the_upper_row_fails_its_check(monkeypatch, capsys):
     """A start that fails its check raises, with no fallback, and the CLI
     exits 2 with the one error line."""

@@ -373,15 +373,17 @@ def test_cli_names_a_short_rate_vector(tmp_path, capsys):
 
 
 # sha256 of `netsirs sweep` CSVs on five_node, re-recorded when the
-# equilibrium bracket began to start from the two rows on the Perron ray.
-# Only endemic_norm and endemic_abscissa moved, by one in the 12th digit,
-# on 3 and 5 rows; every moved value lies within 7e-13 of the one at the
-# 60-digit y* (oracles.endemic_mpmath's Newton), as before
+# Jacobian began to take x* = gamma y* / (W y*) in place of 1 - y* - z*.
+# Only endemic_abscissa moved, by one in the 12th digit, on 3 and 4 rows
+# (scales 0.7, 0.95, 1.5 and 0.5625, 0.625, 1.4375, 1.5); before rounding,
+# each moved value lies within 3.8e-13 of the 60-digit abscissa
+# (oracles.endemic_abscissa_mpmath), and at five of the six scales within
+# 4.8e-14
 _SWEEP_GOLDEN = {
     "supercritical": (["0.05", "1.5", "30"], "30 rows, 0 warnings",
-                      "2a3686f74553aa1e8cbfde89c4aa7518293e63cdaa2d2c45f7934f685e23164a"),
+                      "6559b645888ec061a2b40032ae44c8afb3fe9a54d5810f7026c6b6dda5cd98ae"),
     "with_failures": (["-0.5", "2.0", "41"], "41 rows, 9 warnings",
-                      "b836f71f6aac55df7ee6daed94968a2692f25417a730116237343a6db3cb7d61"),
+                      "dedcd3e6569f1de0b524685ba2bcb30661145865aecf2aaed108b9efd9606b99"),
 }
 
 
@@ -404,7 +406,12 @@ _SUBCRITICAL_SCALE = 0.05718634341
 # equilibrium bracket began to start from the two rows on the Perron ray:
 # y*, z*, x* and the endemic abscissa and disk margins moved in their last
 # digits, with y* and x* within 3.0e-13 and 1.8e-13 relative of a
-# 60-digit root (4.6e-13 and 2.9e-13 before).
+# 60-digit root (4.6e-13 and 2.9e-13 before). The stability pin was
+# re-recorded again when the Jacobian and the disk margins began to take
+# x* = gamma y* / (W y*): the abscissa went from -0.5862277906181773 to
+# -0.5862277906182263, 8.8e-15 off the 60-digit one (5.8e-14 before), and
+# the margins moved by at most 1.5e-12 relative, to within 4.2e-13
+# relative of the 60-digit margins (1.7e-12 before).
 # equilibrium stdout leaves out its "wrote <path>" line, the one line that
 # names the path; r0 and stability write no other path.
 _ANALYSIS_GOLDEN = {
@@ -414,8 +421,8 @@ _ANALYSIS_GOLDEN = {
         "a6b8f4c15408ca552bbe277632b5afa62cdb31a84653ea52b46de7875768e354",
         "5e26fafb29d62afdc907b18e65cb04105a4e993dcd87af565244e4a7155e297c"),
     ("five_node", "stability"): (
-        "59d0005c45701eb1cacbc859aec31c5d4aa3acb66617a62c31494fb3e8b260b3",
-        "59d0005c45701eb1cacbc859aec31c5d4aa3acb66617a62c31494fb3e8b260b3"),
+        "503a9e96d07fd386373d59c8bd06ba9a1cc387b326776552e11a00305c8e12b3",
+        "503a9e96d07fd386373d59c8bd06ba9a1cc387b326776552e11a00305c8e12b3"),
     ("subcritical", "r0"): (
         "17b27b7d5017e1d691978be65ca9853027e24a09652c9a11f4b4eafeb1fa4ab3", None),
     ("subcritical", "equilibrium"): (

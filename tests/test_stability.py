@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import json
 import os
 
 import numpy as np
@@ -254,9 +256,20 @@ _FIVE_NODE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_
 
 @pytest.mark.parametrize("which", ["five_node", "out_regular3", "single_node"])
 def test_gershgorin_equals_schur_matrix_route(which):
-    """Precomputing the shift-free radii of H(lam) and evaluating every
-    sample in one block changes no float: every sample equals the one
-    summed from a full schur_matrix, near a pole too."""
+    """Every closed-form sample lies within rounding of the one summed from
+    a full schur_matrix, near a pole too. Both routes round the same float
+    inputs. With u the unit roundoff and T_k the sum of the moduli of the
+    terms of -Re H_kk - R_k,
+
+        T_k = x*_k (W y*)_k + ((W y*)_k + gamma_k + |lam|) y*_k
+              + gamma_k m_k / |delta_k + lam|,
+
+    row k of the closed form is off the exact margin by at most about
+    (n + 5) u T_k (the n-term W y* and a few roundings), and of the Schur
+    route by about (2n + 10) u T_k (W y* again in x*, then the n-term row
+    sum R_k), so (3n + 15) u T_k bounds their difference, and the largest
+    row bound that of the mins.
+    """
     model = {
         "five_node": lambda: load_model(_FIVE_NODE),
         "out_regular3": helpers.out_regular,
@@ -270,7 +283,18 @@ def test_gershgorin_equals_schur_matrix_route(which):
     pole = -float(model.delta.min())
     samples += [complex(max(pole, -eta) + d, im) for d in (1e-12, 1e-9, 1e-6)
                 for im in (0.0, 1e-9, -3.0)]
-    assert gershgorin_certificate(model, y, samples) == _gershgorin_by_schur(model, y, samples)
+    wy = model.W @ y
+    unit = np.finfo(float).eps / 2.0
+    closed = gershgorin_certificate(model, y, samples)
+    for got, ref in zip(closed, _gershgorin_by_schur(model, y, samples), strict=True):
+        lam = ref.lam
+        # x*_k (W y*)_k = gamma_k y*_k
+        terms = (model.gamma * y + (wy + model.gamma + abs(lam)) * y
+                 + model.gamma * wy * y / np.abs(model.delta + lam))
+        bound = float(((3 * model.n + 15) * unit * terms).max())
+        assert got.lam == lam
+        assert abs(got.min_margin - ref.min_margin) <= bound, (lam, got, ref, bound)
+        assert ref.min_margin > bound and got.all_disks_left
     if eta == -pole:
         lam = complex(pole + 1e-15)
         with pytest.raises(SingularShiftError):
@@ -300,6 +324,49 @@ def test_endemic_certificate_with_a_tiny_delta():
     cert = endemic_certificate(model, eq.y_star, eq.z_star)
     assert 0j in [sample.lam for sample in cert.gershgorin_samples]
     assert cert.verdict == "Stable"
+
+
+def test_five_node_endemic_abscissa_matches_mpmath(capsys):
+    """stability reports five_node's endemic abscissa within 2e-14 of a
+    60-digit eigensolve; with x* formed as 1 - y* - z* it was 5.8e-14 off."""
+    assert netsirs.cli.main(["stability", "--model", _FIVE_NODE]) == 0
+    abscissa = json.loads(capsys.readouterr().out)["endemic"]["abscissa"]
+    model = load_model(_FIVE_NODE)
+    assert abs(abscissa - oracles.endemic_abscissa_mpmath(model)) <= 2e-14
+
+
+# five_node and four supercritical draws of the log-uniform family at
+# d = 10: draw 0 has y*_k = 2.8e-18, draw 17 R0 = 1.0006, draw 20
+# x*_1 = 1.2e-10, and draw 27 x*_k = 1.2e-16 and margins of 6.0e-25 at
+# lam = +-100i
+_NUDGED = ("five_node", 0, 17, 20, 27)
+
+
+@functools.cache
+def _certified(which):
+    model = (load_model(_FIVE_NODE) if which == "five_node"
+             else validate_model(*helpers.log_uniform_family(10)[which]))
+    eq = solve_endemic(model)
+    return model, eq.y_star, endemic_certificate(model, eq.y_star, eq.z_star)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_NUDGED), st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+@example(17, [4, -4, 0, 0, 0, 0])
+@example(0, [-4] * 6)
+def test_a_few_ulps_of_y_star_move_no_verdict_and_no_margin_sign(which, ulps):
+    """y* moved by up to 4 ulps per component, with z = alpha y, keeps the
+    Stable verdict and the sign of every sample's margin: the margins come
+    from nonnegative terms, and x* = gamma y / (W y) moves by ulps too."""
+    model, y_star, cert = _certified(which)
+    y = y_star.copy()
+    for k, steps in enumerate(ulps[:model.n]):
+        for _ in range(abs(steps)):
+            y[k] = np.nextafter(y[k], np.copysign(np.inf, steps))
+    moved = endemic_certificate(model, y, model.alpha * y)
+    assert cert.verdict == moved.verdict == STABLE
+    assert ([s.min_margin > 0.0 for s in moved.gershgorin_samples]
+            == [s.min_margin > 0.0 for s in cert.gershgorin_samples])
 
 
 def test_default_lambda_samples_layout():
