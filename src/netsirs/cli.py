@@ -27,7 +27,8 @@ from .io import (
     write_trajectory_csv,
 )
 from .spectral import reproduction_number
-from .stability import dfe_abscissa, endemic_certificate, lyapunov_value
+from .stability import (INCONCLUSIVE, STABLE, UNSTABLE, dfe_abscissa,
+                        endemic_certificate, lyapunov_value)
 from .stability import jacobian_dfe, spectral_abscissa  # noqa: F401  (perfbench/spans.py wraps these names)
 from .sweep import run_sweep
 
@@ -116,19 +117,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
+    """The DFE verdict is solve_endemic's threshold state of R0."""
     _check_seed(args.seed)
     model = load_model(args.model)
     r0, spectral = reproduction_number(model)
-    dfe = dfe_abscissa(model)
+    dfe = {"abscissa": dfe_abscissa(model).abscissa, "verdict": STABLE}
     report = {
         "r0": r0,
         "spectral": {"lambda": spectral.lam, "iterations": spectral.iterations,
                      "residual": spectral.residual},
-        "dfe": {"abscissa": dfe.abscissa, "verdict": dfe.verdict},
+        "dfe": dfe,
         "endemic": None,
     }
     solved = solve_endemic(model, tol=args.tol, spectral=spectral)
     if isinstance(solved, EndemicEquilibrium):
+        dfe["verdict"] = UNSTABLE
         certificate = endemic_certificate(model, solved.y_star, solved.z_star,
                                           seed=args.seed, tol=args.tol)
         report["endemic"] = {
@@ -144,8 +147,10 @@ def cmd_stability(args: argparse.Namespace) -> int:
                 for s in certificate.gershgorin_samples
             ],
             "verdict": certificate.verdict,
+            **({"reason": certificate.reason} if certificate.reason else {}),
         }
     elif solved.near_threshold:
+        dfe.update(verdict=INCONCLUSIVE, reason="near threshold")
         report["endemic"] = {"no_endemic": True, "near_threshold": True}
     text = json.dumps(report, indent=2)
     print(text)

@@ -6,8 +6,8 @@ lower-triangular, so its spectrum is spec(W - [gamma]) joined with
 simple real Perron root with a positive eigenvector, of the sign of
 R0 - 1. dfe_abscissa brackets that root from both sides with the
 Collatz-Wielandt ratios of spectral.perron_bracket, the loop that also
-gives R0, and reads the verdict off that bracket, so the verdict is
-certified on both sides, not read off an unchecked eigensolve.
+gives R0, so the abscissa is certified on both sides, with no
+eigensolve. The DFE verdict is R0's threshold state (solve_endemic).
 
 Two complementary routes certify local stability of the endemic
 equilibrium. The direct route computes the spectral abscissa of the
@@ -58,12 +58,14 @@ class GershgorinSample:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Joint verdict of the eigensolver and the disk certificate."""
+    """Joint verdict of the eigensolver and the disk certificate. reason
+    names each route that failed, None when the verdict is Stable."""
 
     eta: float
     spectral_abscissa: float
     gershgorin_samples: list[GershgorinSample]
     verdict: str
+    reason: str | None
 
 
 def jacobian_dfe(model: ModelInstance) -> np.ndarray:
@@ -76,27 +78,17 @@ def jacobian_dfe(model: ModelInstance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DfeAbscissa:
-    """Spectral abscissa of the infection-free Jacobian with its bracket.
+    """Certified spectral abscissa of the infection-free Jacobian.
 
     lower <= abscissa <= upper holds for the exact abscissa, up to the
     rounding of the ratios that give the bounds; iterations counts the
-    shifted solves of perron_bracket that closed the bracket. The verdict
-    rests on the bracket alone: Stable when it lies left of 0, Unstable
-    when it lies right of 0, Inconclusive when it touches or straddles 0.
+    shifted solves of perron_bracket that closed the bracket.
     """
 
     abscissa: float
     lower: float
     upper: float
     iterations: int
-
-    @property
-    def verdict(self) -> str:
-        if self.upper < 0.0:
-            return STABLE
-        if self.lower > 0.0:
-            return UNSTABLE
-        return INCONCLUSIVE
 
 
 # Width, relative to the scale of the ratios, at which the DFE bracket counts as closed
@@ -274,17 +266,22 @@ def endemic_certificate(
     and Inconclusive otherwise, never Unstable: at an exact equilibrium
     every disk margin is at least F(lam) > 0 on Re(lam) > -eta (see
     gershgorin_certificate), so a route that disagrees has failed, and
-    proves nothing about the equilibrium. Raises ModelInputError when tol
+    proves nothing about the equilibrium. The reason of an Inconclusive
+    names each failed route: "dense abscissa >= 0", or the first sample
+    whose disk margin is not positive. Raises ModelInputError when tol
     is not positive and finite.
     """
     y = np.asarray(y_star, dtype=float)
     eta = eta_bound(model, y)
     abscissa = spectral_abscissa(jacobian_endemic(model, y, z_star, tol=tol))
     samples = gershgorin_certificate(model, y, default_lambda_samples(eta, seed=seed))
-    stable = abscissa < 0.0 and all(s.all_disks_left for s in samples)
+    failed = [] if abscissa < 0.0 else ["dense abscissa >= 0"]
+    failed += [f"disk margin {s.min_margin:.3e} not positive at lambda = [{s.lam.real!r}, "
+               f"{s.lam.imag!r}]" for s in samples if not s.all_disks_left][:1]
+    reason = "; ".join(failed) or None
     return StabilityCertificate(eta=eta, spectral_abscissa=abscissa,
                                 gershgorin_samples=samples,
-                                verdict=STABLE if stable else INCONCLUSIVE)
+                                verdict=INCONCLUSIVE if reason else STABLE, reason=reason)
 
 
 def lyapunov_value(

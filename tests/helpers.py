@@ -142,3 +142,10 @@ def log_uniform_family(d: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]
         if each == d:
             return draws
     raise ValueError(f"the family has no draws at d = {d}")
+
+
+def dfe_side(res) -> int:
+    """The side of 0 a DfeAbscissa's certified bracket lies on: 1 right of
+    it (lower > 0), -1 left of it (upper < 0), 0 when it touches or
+    straddles 0."""
+    return int(res.lower > 0.0) - int(res.upper < 0.0)

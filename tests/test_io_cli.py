@@ -491,12 +491,14 @@ def test_cli_stability_takes_one_dense_eigensolve_per_endemic_model(
 
 
 def test_cli_stability_threshold_dfe_is_inconclusive(tmp_path, capsys):
-    # R0 = 1 exactly: the DFE bracket closes at [0, 0], which touches 0
+    # R0 = 1 exactly lies in the threshold band, and the DFE bracket
+    # closes at [0, 0]
     path = tmp_path / "threshold.json"
     helpers.save_model(helpers.out_regular(n=2, row_sum=1.0), str(path))
     assert netsirs.cli.main(["stability", "--model", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["dfe"] == {"abscissa": 0.0, "verdict": "Inconclusive"}
+    assert report["dfe"] == {"abscissa": 0.0, "verdict": "Inconclusive",
+                             "reason": "near threshold"}
 
 
 def test_cli_r0_output(tmp_path):

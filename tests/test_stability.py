@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from netsirs import (
     NotEquilibriumError,
     SingularShiftError,
     STABLE,
-    UNSTABLE,
     default_lambda_samples,
     dfe_abscissa,
     endemic_certificate,
@@ -399,7 +399,7 @@ def test_spectral_abscissa_hand_values():
 def test_endemic_certificate_reference_network(ref5):
     eq = solve_endemic(ref5)
     cert = endemic_certificate(ref5, eq.y_star, eq.z_star)
-    assert cert.verdict == STABLE
+    assert (cert.verdict, cert.reason) == (STABLE, None)
     assert cert.eta == pytest.approx(0.1)
     assert cert.spectral_abscissa < 0.0
     # decay at least eta, up to the sample offset at the boundary
@@ -417,7 +417,30 @@ def test_endemic_certificate_is_never_unstable(ref5, monkeypatch, abscissa):
     cert = endemic_certificate(ref5, eq.y_star, eq.z_star)
     assert cert.spectral_abscissa == abscissa
     assert all(s.all_disks_left for s in cert.gershgorin_samples)
-    assert cert.verdict == INCONCLUSIVE
+    assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "dense abscissa >= 0")
+
+
+@pytest.mark.parametrize("abscissa, dense", [(0.0, "dense abscissa >= 0; "), (-1.0, "")])
+def test_inconclusive_report_names_each_failed_route(monkeypatch, capsys, abscissa, dense):
+    # disks 3 and 4 made to fail: the stability JSON names the dense route
+    # when its abscissa is not negative, and the disk route by its first
+    # failed sample, in the "lambda" form of the samples it lists
+    certify = netsirs.stability.gershgorin_certificate
+
+    def failing(*args):
+        samples = certify(*args)
+        samples[3:5] = [replace(s, all_disks_left=False, min_margin=-1.0) for s in samples[3:5]]
+        return samples
+
+    monkeypatch.setattr(netsirs.stability, "spectral_abscissa", lambda A: abscissa)
+    monkeypatch.setattr(netsirs.stability, "gershgorin_certificate", failing)
+    assert netsirs.cli.main(["stability", "--model", _FIVE_NODE]) == 0
+    endemic = json.loads(capsys.readouterr().out)["endemic"]
+    real, imag = endemic["gershgorin"][3]["lambda"]
+    assert list(endemic)[-2:] == ["verdict", "reason"]
+    assert endemic["verdict"] == INCONCLUSIVE
+    assert endemic["reason"] == (
+        f"{dense}disk margin -1.000e+00 not positive at lambda = [{real!r}, {imag!r}]")
 
 
 def test_eigensolver_failure_exits_two(monkeypatch, capsys):
@@ -463,20 +486,19 @@ def _check_dfe_route(m) -> DfeAbscissa:
     assert res.lower <= res.abscissa <= res.upper
     if metzler < floor - slack:
         assert res.abscissa == floor
-    expected = STABLE if dense < -slack else UNSTABLE if dense > slack else None
-    if expected is not None:
-        assert res.verdict == expected
+    if abs(dense) > slack:
+        assert helpers.dfe_side(res) == np.sign(dense)
     return res
 
 
 def test_dfe_abscissa_single_node():
     res = _check_dfe_route(validate_model([[2.0]], [1.0], [1.0]))
     assert (res.abscissa, res.lower, res.upper, res.iterations) == (1.0, 1.0, 1.0, 0)
-    assert res.verdict == UNSTABLE
+    assert helpers.dfe_side(res) == 1
     # s(W - gamma) = -0.5 lies left of -delta = -0.25: the floor is exact
     res = _check_dfe_route(validate_model([[0.5]], [1.0], [0.25]))
     assert res.abscissa == -0.25
-    assert res.verdict == STABLE
+    assert helpers.dfe_side(res) == -1
 
 
 def test_dfe_abscissa_periodic_two_cycle():
@@ -484,7 +506,7 @@ def test_dfe_abscissa_periodic_two_cycle():
     m = validate_model([[0.0, 2.0], [3.0, 0.0]], [1.0, 1.0], [0.5, 0.5])
     res = _check_dfe_route(m)
     assert res.abscissa == pytest.approx(np.sqrt(6.0) - 1.0, rel=1e-14)
-    assert res.verdict == UNSTABLE
+    assert helpers.dfe_side(res) == 1
 
 
 @pytest.mark.parametrize("row_sum, delta, expected", [
@@ -499,7 +521,7 @@ def test_dfe_abscissa_out_regular(row_sum, delta, expected):
     if expected == -0.1:
         assert res.abscissa == -0.1
         assert (res.lower, res.upper, res.iterations) == (-0.1, -0.1, 0)
-    assert res.verdict == (STABLE if expected < 0.0 else UNSTABLE)
+    assert helpers.dfe_side(res) == np.sign(expected)
 
 
 @pytest.mark.parametrize("n", [3, 40, 200])
@@ -508,7 +530,7 @@ def test_dfe_abscissa_random_models(n):
     for r0 in (0.3, 0.999, 1.001, 3.0):
         m = helpers.random_supercritical(rng, n, r0_target=r0)
         res = _check_dfe_route(m)
-        assert res.verdict == (STABLE if r0 < 1.0 else UNSTABLE)
+        assert helpers.dfe_side(res) == (-1 if r0 < 1.0 else 1)
         assert res.iterations <= 12
 
 
@@ -518,16 +540,16 @@ def test_dfe_abscissa_at_threshold_is_inconclusive(monkeypatch):
     m = helpers.out_regular(n=2, row_sum=1.0)
     res = _check_dfe_route(m)
     assert (res.abscissa, res.lower, res.upper, res.iterations) == (0.0, 0.0, 0.0, 0)
-    assert res.verdict == INCONCLUSIVE
-    # a bracket that straddles 0 is Inconclusive too: a tolerance of 1
-    # stops at the bracket of x = 1, whose row ratios lie on both sides of
-    # 0 for this near-threshold model
+    assert helpers.dfe_side(res) == 0
+    # a bracket can straddle 0 too: a tolerance of 1 stops at the bracket
+    # of x = 1, whose row ratios lie on both sides of 0 for this
+    # near-threshold model
     m = helpers.random_supercritical(np.random.default_rng(3), 40, r0_target=1.001)
     monkeypatch.setattr(netsirs.stability, "DFE_TOL", 1.0)
     res = dfe_abscissa(m)
     assert res.iterations == 0
     assert res.lower < 0.0 < res.upper
-    assert res.verdict == INCONCLUSIVE
+    assert helpers.dfe_side(res) == 0
     assert res.lower <= spectral_abscissa(jacobian_dfe(m)) <= res.upper
 
 
@@ -557,7 +579,7 @@ def test_weighted_ring_perron_roots(n):
     slack = 1e-14 * max(abs(s), float(m.gamma.max()))
     assert res.lower - slack <= s <= res.upper + slack
     assert res.abscissa == pytest.approx(s, rel=1e-13)
-    assert res.verdict == UNSTABLE
+    assert helpers.dfe_side(res) == 1
 
 
 @settings(deadline=None, max_examples=60)
@@ -567,12 +589,12 @@ def test_weighted_ring_perron_roots(n):
 @example(30, 1, 0.9999, 1.0)
 @example(30, 2, 1.0001, 1e-3)
 def test_dfe_verdict_follows_r0_and_r0_is_linear_in_w(n, seed, r0, scale):
-    """The infection-free state is stable below R0 = 1 and unstable above
-    it, the transcritical bifurcation of the paper, and R0(sW) = s R0(W)."""
+    """The certified DFE bracket lies left of 0 below R0 = 1 and right of it
+    above, the transcritical bifurcation of the paper, and R0(sW) = s R0(W)."""
     m = helpers.random_supercritical(np.random.default_rng(seed), n, r0)
     r0_m, _ = reproduction_number(m)
     if abs(r0_m - 1.0) > 1e-6:
-        assert dfe_abscissa(m).verdict == (STABLE if r0_m < 1.0 else UNSTABLE)
+        assert helpers.dfe_side(dfe_abscissa(m)) == (-1 if r0_m < 1.0 else 1)
     scaled = validate_model(scale * m.W, m.gamma, m.delta)
     assert reproduction_number(scaled)[0] == pytest.approx(scale * r0_m, rel=1e-12)
 

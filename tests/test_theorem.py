@@ -111,15 +111,18 @@ def _states(path: str, tmp) -> tuple[dict[str, tuple[str, float]], list[str], st
         elif name == "stability":
             report = json.loads(out)
             assert _finite(report)
-            dfe, endemic = report["dfe"]["verdict"], report["endemic"]
+            dfe, endemic = report["dfe"], report["endemic"]
+            # one state gives the DFE verdict and the endemic block
             if endemic is None:
                 state = "below"
-                assert dfe == STABLE
+                assert dfe == {"abscissa": dfe["abscissa"], "verdict": STABLE}
             elif endemic == NEAR:
                 state = "near"
+                assert dfe == {"abscissa": dfe["abscissa"], "verdict": INCONCLUSIVE,
+                               "reason": "near threshold"}
             else:
                 state = "above"
-                assert dfe == UNSTABLE
+                assert dfe == {"abscissa": dfe["abscissa"], "verdict": UNSTABLE}
                 verdict = endemic["verdict"]
                 assert verdict in (STABLE, INCONCLUSIVE)
             states[name] = (state, report["r0"])
@@ -176,14 +179,16 @@ def test_theorem_holds_on_the_log_uniform_family(tmp_path, d, above, below):
 
 def test_stability_closes_the_dfe_bracket_of_a_draw_spanning_decades(tmp_path):
     """Draw 12 at d = 4: its DFE bracket, measured against the scale its
-    own ratios round on, closes, and stability exits 0 with the DFE
-    verdict of a supercritical model."""
+    own ratios round on, closes right of 0, and stability exits 0 with the
+    DFE verdict of a supercritical model."""
     path = tmp_path / "model.json"
-    helpers.save_model(validate_model(*helpers.log_uniform_family(4)[12]), str(path))
+    model = validate_model(*helpers.log_uniform_family(4)[12])
+    helpers.save_model(model, str(path))
     code, out, err = _run("stability", "--model", str(path))
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["r0"] > 1.0 and report["dfe"]["verdict"] == UNSTABLE
+    assert helpers.dfe_side(dfe_abscissa(model)) == 1
 
 
 @settings(deadline=None, max_examples=40)
@@ -219,15 +224,24 @@ def _five_node_at(r0_target: float):
 @pytest.mark.parametrize("excess, row", [(1e-10, "1,1.0000000001,0,9.99982285125e-11,nan"),
                                          (-1e-10, "1,0.9999999999,0,-1.00001869577e-10,nan")])
 def test_five_node_inside_the_band(tmp_path, excess, row):
-    # stability writes the near marker, equilibrium prints [near threshold],
-    # the sweep counts one warning and writes its row; the DFE abscissa in
-    # it lies within 1.9e-15 of a 60-digit root of s(W - [gamma])
+    # one state on both sides of R0 = 1: stability writes DFE Inconclusive,
+    # with its reason, beside the near marker, equilibrium prints [near
+    # threshold], the sweep counts its row as a warning and writes it; the
+    # DFE abscissa in it lies within 1.9e-15 of a 60-digit root of
+    # s(W - [gamma])
     path = str(tmp_path / "model.json")
     helpers.save_model(_five_node_at(1.0 + excess), path)
     states, failed, _ = _states(path, tmp_path)
     assert failed == [] and set(states) == {"equilibrium", "stability", "sweep"}
     assert {state for state, _ in states.values()} == {"near"}
-    assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == row
+    report = json.loads(_run("stability", "--model", path)[1])
+    assert (report["dfe"]["verdict"], report["dfe"]["reason"], report["endemic"]) == (
+        INCONCLUSIVE, "near threshold", NEAR)
+    assert _run("equilibrium", "--model", path)[1] == "NoEndemic (R0 = 1.000000) [near threshold]\n"
+    csv = tmp_path / "sweep.csv"
+    assert _run("sweep", "--model", path, "--scale-min", "1", "--scale-max", "1", "--steps", "1",
+                "--out", str(csv))[1] == f"wrote {csv} (1 rows, 1 warnings)\n"
+    assert csv.read_text().splitlines()[1] == row
 
 
 @settings(deadline=None, max_examples=40)
@@ -253,8 +267,12 @@ def test_commands_agree_on_the_threshold_state_near_r0_one(tmp_path_factory, bas
     if abs(abs(excess) - R0_TOL) > 1e-12:
         want = _state(1.0 + excess)
         assert {state for state, _ in states.values()} == {want}
-    # the DFE verdict, in the band too, is the certified bracket's: right about the side
-    assert dfe_abscissa(model).verdict in (INCONCLUSIVE, UNSTABLE if excess > 0.0 else STABLE)
+    # the certified DFE bracket never lies on the wrong side of 0, and
+    # outside the band it lies on the side the DFE verdict names
+    side = helpers.dfe_side(dfe_abscissa(model))
+    assert side in (0, 1 if excess > 0.0 else -1)
+    if _state(states["stability"][1]) != "near":
+        assert side == (1 if excess > 0.0 else -1)
 
 
 _TIME_UNIT_MODELS = ("five_node", (11, 4, 3.3), (12, 7, 1.7))
@@ -289,12 +307,14 @@ def _analysis(which, c: float = 1.0):
 def test_outputs_do_not_depend_on_the_time_unit(which, c):
     """R0 and y* are dimensionless: they move by rounding only, since
     c W / c gamma need not round to W / gamma. Rates, hence abscissas and
-    eta, scale by c; verdicts and the sweep's failed rows stay."""
+    eta, scale by c; the endemic verdict, the side of 0 the DFE bracket
+    lies on and the sweep's failed rows stay."""
     r0, dfe, y_star, certificate, failed, warnings = _analysis(which)
     r0_c, dfe_c, y_star_c, certificate_c, failed_c, warnings_c = _analysis(which, c)
     assert abs(r0_c / r0 - 1.0) <= 1e-12
     assert np.max(np.abs(y_star_c / y_star - 1.0)) <= 1e-12
-    assert (dfe_c.verdict, certificate_c.verdict) == (dfe.verdict, certificate.verdict)
+    assert certificate_c.verdict == certificate.verdict
+    assert helpers.dfe_side(dfe_c) == helpers.dfe_side(dfe) == 1
     for scaled, base in ((dfe_c.abscissa, dfe.abscissa),
                          (certificate_c.spectral_abscissa, certificate.spectral_abscissa),
                          (certificate_c.eta, certificate.eta)):
