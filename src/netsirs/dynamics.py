@@ -134,8 +134,9 @@ def simulate(
     state and SimplexViolationError as soon as the state leaves the
     simplex by more than SIMPLEX_VIOLATION_TOL. Every step is checked, so
     the run stops at the first bad step, whose time is named in the
-    message, before the state can overflow. Both checks are written so
-    that NaN fails them.
+    message. Both checks are written so that NaN fails them, so a step
+    whose stages overflow (W ~ 1e150 does inside the first) stops the run
+    there too, without a numpy warning.
     """
     cfg = config if config is not None else IntegratorConfig()
     y = np.array(y0, dtype=float)
@@ -203,36 +204,39 @@ def simulate(
     sub(ux, uz, ux)
     table[0, 1:] = state
     recorded = 1
-    for step in range(1, n_steps + 1):
-        # the step updates u in place, so snapshot it first
-        before = u.tobytes()
-        # at the state the stage-one factor (1 - y) - z is its x
-        dot(uy, wu)
-        mul(fac1, val1, field)
-        sub(pair, flows, k1)
-        add(u, mul(k1, half, stage), stage)  # u + half * k1
-        f(k2)
-        add(u, mul(k2, half, stage), stage)
-        f(k3)
-        add(u, mul(k3, full, stage), stage)
-        f(k4)
-        # u + sixth * (k1 + 2 * (k2 + k3) + k4), in place, then x = (1 - y) - z
-        add(k2, k3, acc)
-        mul(acc, two, acc)
-        add(k1, acc, acc)
-        add(acc, k4, acc)
-        add(u, mul(acc, sixth, acc), u)
-        sub(one, uy, ux)
-        sub(ux, uz, ux)
-        if not lowest(state) >= -SIMPLEX_VIOLATION_TOL:
-            raise SimplexViolationError(f"state left the simplex at t = {step * dt:.6g}; reduce dt")
-        if step % every == 0 or step == n_steps:
-            table[recorded, 1:] = state
-            recorded += 1
-        if u.tobytes() == before:
-            # settled: every later step returns this state, so the rows
-            # left are this state
-            table[recorded:, 1:] = state
-            break
+    # a stage that overflows leaves inf or NaN in the state, which the
+    # simplex check turns into SimplexViolationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            # the step updates u in place, so snapshot it first
+            before = u.tobytes()
+            # at the state the stage-one factor (1 - y) - z is its x
+            dot(uy, wu)
+            mul(fac1, val1, field)
+            sub(pair, flows, k1)
+            add(u, mul(k1, half, stage), stage)  # u + half * k1
+            f(k2)
+            add(u, mul(k2, half, stage), stage)
+            f(k3)
+            add(u, mul(k3, full, stage), stage)
+            f(k4)
+            # u + sixth * (k1 + 2 * (k2 + k3) + k4), in place, then x = (1 - y) - z
+            add(k2, k3, acc)
+            mul(acc, two, acc)
+            add(k1, acc, acc)
+            add(acc, k4, acc)
+            add(u, mul(acc, sixth, acc), u)
+            sub(one, uy, ux)
+            sub(ux, uz, ux)
+            if not lowest(state) >= -SIMPLEX_VIOLATION_TOL:
+                raise SimplexViolationError(f"state left the simplex at t = {step * dt:.6g}; reduce dt")
+            if step % every == 0 or step == n_steps:
+                table[recorded, 1:] = state
+                recorded += 1
+            if u.tobytes() == before:
+                # settled: every later step returns this state, so the rows
+                # left are this state
+                table[recorded:, 1:] = state
+                break
 
     return Trajectory(table, step)

@@ -15,9 +15,9 @@ the origin at R0 = 1, and stops when the two-sided bracket closes.
 Near R0 = 1 the Phi steps contract at a rate that tends to 1, so once
 they fail to halve the bracket, at a rate too slow to close it within
 about n more steps, solve_endemic takes Newton-Fourier steps (Ortega &
-Rheinboldt 1970, section 13.3) on the convex map F(y) = y - Phi(y)
-instead. Each is certified in floating point before it replaces a bracket
-end: Phi(u) <= u above, Phi(l) >= l > 0 below.
+Rheinboldt 1970, section 13.3) on the convex map F(y) = y - Phi(y) until
+the bracket closes. Each is certified in floating point before it
+replaces a bracket end: Phi(u) <= u above, Phi(l) >= l > 0 below.
 """
 
 from __future__ import annotations
@@ -218,14 +218,14 @@ def solve_endemic(
 
     The two sequences are the rows of one (2, n) array Y, so a Phi step
     is psi(np.matvec(M, Y), alpha), which equals phi on each row bit for
-    bit. A dense solve costs about n/4 + 15 Phi steps, so an iteration
-    after one that shrank the gap by a factor q > 1/2 that would leave Phi
-    more than n + 25 steps to go, q^(n + 25) gap > tol, takes a certified
-    Newton-Fourier step (_newton_fourier) in place of the Phi step, and
-    the gap closes in a few dense solves even as R0 falls to 1.
-    A model whose Phi steps always halve the gap takes none and gets the
-    plain two-sided Phi bracket to the last bit. iterations counts loop
-    iterations of either kind.
+    bit. Phi steps run until one shrinks the gap by a factor q > 1/2 that
+    would leave Phi more than n + 25 steps, q^(n + 25) gap > tol; every
+    later step is a certified Newton-Fourier step (_newton_fourier), and
+    the gap closes in a few dense solves even as R0 falls to 1. Phi's rate
+    near y* is rho(Phi'(y*)), a property of the model, so it never speeds
+    up again. A model whose Phi steps always halve the gap takes none and
+    gets the plain two-sided Phi bracket to the last bit. iterations counts
+    loop iterations of either kind.
 
     The bracket is certified up to rounding: at the floor its rows can
     cross by an ulp and cycle with the gap, or then the defect, above tol.
@@ -259,7 +259,7 @@ def solve_endemic(
         Y = _newton_fourier(M, alpha, Y, MY, tol) if newton else psi(MY, alpha)
         last, gap = gap, float(np.max(np.abs(Y[0] - Y[1])))
         q = gap / last if last > 0.0 else 0.0
-        newton = q > 0.5 and q ** (model.n + 25) * gap > tol
+        newton = newton or (q > 0.5 and q ** (model.n + 25) * gap > tol)
         iterations += 1
 
     return EndemicEquilibrium(y_star=y_star, z_star=alpha * y_star,

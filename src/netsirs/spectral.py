@@ -74,26 +74,29 @@ def perron_bracket(
     spread = np.abs(np.diagonal(B)) - np.diagonal(B)
     lo, hi = known
     closed = stop_rule(tol, MAX_SOLVES, "solves")
-    for solves in itertools.count():
-        ratios = (B @ x) / x
-        lower, upper = float(ratios.min()), float(ratios.max())
-        s = float((ratios + spread).max())
-        if closed(solves, (upper - lower) / s if upper > lower else 0.0,
-                  x.tobytes() + np.array((lo, hi)).tobytes(),
-                  f"Perron bracket [{lower:.17g}, {upper:.17g}]"):
-            return x / x.sum(), lower, upper, solves
-        lo, hi = max(lo, lower), min(hi, upper)
-        sigma = hi + max(0.01 * (hi - lo), max(tol, (n + 1) * np.finfo(float).eps) * s)
-        shifted = B * -x  # sigma I - D^-1 B D, formed in one array
-        shifted /= x[:, None]
-        shifted.flat[:: n + 1] += sigma
-        try:
-            x = x * np.linalg.solve(shifted, ones)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"shifted solve failed: {exc}") from exc
-        if not np.minimum.reduce(x) > 0.0:
-            raise NoConvergenceError("shifted solve lost positivity; the Perron bracket is open")
-        x /= x.sum()
+    # B x can overflow where B spans the float range; inf or NaN ratios leave
+    # the bracket open, and stop_rule or the positivity check raises
+    with np.errstate(over="ignore"):
+        for solves in itertools.count():
+            ratios = (B @ x) / x
+            lower, upper = float(ratios.min()), float(ratios.max())
+            s = float((ratios + spread).max())
+            if closed(solves, (upper - lower) / s if upper > lower else 0.0,
+                      x.tobytes() + np.array((lo, hi)).tobytes(),
+                      f"Perron bracket [{lower:.17g}, {upper:.17g}]"):
+                return x / x.sum(), lower, upper, solves
+            lo, hi = max(lo, lower), min(hi, upper)
+            sigma = hi + max(0.01 * (hi - lo), max(tol, (n + 1) * np.finfo(float).eps) * s)
+            shifted = B * -x  # sigma I - D^-1 B D, formed in one array
+            shifted /= x[:, None]
+            shifted.flat[:: n + 1] += sigma
+            try:
+                x = x * np.linalg.solve(shifted, ones)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"shifted solve failed: {exc}") from exc
+            if not np.minimum.reduce(x) > 0.0:
+                raise NoConvergenceError("shifted solve lost positivity; the Perron bracket is open")
+            x /= x.sum()
 
 
 def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float, SpectralResult]:

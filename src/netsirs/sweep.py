@@ -60,7 +60,8 @@ def run_sweep(
     warnings = 0
     for scale in np.linspace(scale_min, scale_max, steps).tolist():
         try:
-            scaled = validate_model(scale * model.W, model.gamma, model.delta)
+            with np.errstate(over="ignore"):  # validate_model rejects an inf scale * W
+                scaled = validate_model(scale * model.W, model.gamma, model.delta)
             spectral = replace(base, lam=scale * base.lam, residual=scale * base.residual)
             dfe = dfe_abscissa(scaled).abscissa
             solved = solve_endemic(scaled, tol=tol, spectral=spectral)

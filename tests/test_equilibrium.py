@@ -318,6 +318,37 @@ def test_solve_endemic_near_threshold_takes_few_dense_solves(monkeypatch, case):
     assert 0 < len(calls) <= 10
 
 
+# near-threshold draws of random_supercritical(default_rng(seed), n, R0)
+# that took 48 and 158 iterations while a Phi step followed every
+# Newton-Fourier step that the switch rule priced as slow
+_ONE_WAY = {"seed 4 n 27 at 1.055": (4, 27, 1.055), "seed 6 n 181 at 1.035": (6, 181, 1.035)}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_WAY))
+def test_solve_endemic_takes_newton_fourier_steps_to_the_end_once_it_starts(monkeypatch, case):
+    """Phi's rate near y* is rho(Phi'(y*)), a property of the model, so
+    once it is slow every later iteration is a Newton-Fourier step."""
+    seed, n, r0 = _ONE_WAY[case]
+    model = helpers.random_supercritical(np.random.default_rng(seed), n, r0)
+    rule, step = netsirs.equilibrium.stop_rule, netsirs.equilibrium._newton_fourier
+    counts, calls = [], []
+
+    def counting_rule(*args):
+        closed = rule(*args)
+        return lambda count, *rest: counts.append(count) or closed(count, *rest)
+
+    monkeypatch.setattr(netsirs.equilibrium, "stop_rule", counting_rule)
+    monkeypatch.setattr(netsirs.equilibrium, "_newton_fourier",
+                        lambda *args: calls.append(counts[-1]) or step(*args))
+    solved = solve_endemic(model)
+    assert isinstance(solved, EndemicEquilibrium)
+    assert calls and calls == list(range(calls[0], solved.iterations))
+    assert solved.iterations <= 12
+    if n <= 40:  # the 60-digit root of n = 181 would take minutes
+        ref = oracles.endemic_mpmath(model, dps=60)
+        assert np.max(np.abs(solved.y_star - ref)) <= solved.bracket_gap
+
+
 def _assert_ray_rows_certified(model):
     """The ray rows are ordered inside the cap, pass their checks without
     rounding slack, and hold the solved y*. Where the upper row is capped,
@@ -372,15 +403,17 @@ def test_newton_fourier_draw_17_matches_mpmath():
 
 def test_newton_fourier_closes_the_log_uniform_family_in_few_iterations():
     """Every supercritical draw at d = 2, 4, 6 and 10 together takes fewer
-    than 2,000 iterations (16,016 while candidates outside the old bracket
-    were thrown away)."""
+    than 1,200 iterations: 1,107 with Newton-Fourier steps to the end once
+    Phi is slow, 1,525 while a Phi step followed each one the switch rule
+    priced as slow, and 16,016 while candidates outside the old bracket
+    were thrown away."""
     total = 0
     for d in (2, 4, 6, 10):
         for draw in helpers.log_uniform_family(d):
             solved = solve_endemic(validate_model(*draw))
             if isinstance(solved, EndemicEquilibrium):
                 total += solved.iterations
-    assert total < 2_000
+    assert total < 1_200
 
 
 def test_solve_endemic_raises_when_the_upper_row_fails_its_check(monkeypatch, capsys):
@@ -489,9 +522,10 @@ def test_solve_endemic_certified_bracket(n, seed, log_excess):
 # given, first at the iteration given (numpy 2.4.6 on OpenBLAS 0.3.31)
 _STALLED = {
     "ref5, period 2": (None, 2, 22),
-    "seed 35 n 3, period 3": ((35, 3), 3, 30),
-    "seed 28 n 3, period 4": ((28, 3), 4, 37),
-    "seed 1 n 6, period 7": ((1, 6), 7, 33),
+    "seed 35 n 3, period 1": ((35, 3), 1, 9),
+    "seed 38 n 3, period 3": ((38, 3), 3, 19),
+    "seed 28 n 3, period 4": ((28, 3), 4, 14),
+    "seed 1 n 6, period 7": ((1, 6), 7, 11),
 }
 
 
@@ -515,9 +549,10 @@ def test_solve_endemic_stops_when_the_bracket_state_recurs(monkeypatch, case):
 
 def test_cli_equilibrium_exits_two_when_the_rows_meet_above_tol(tmp_path, capsys):
     """On seed 6 n 6 at tol 1e-16 the bracket rows become equal while the
-    defect of their midpoint is still above tol. The next gap ratio, with
-    a zero denominator, counts as 0, so the loop takes Phi steps on to its
-    rounding floor and stalls, and the CLI exits 2 with one error line."""
+    defect of their midpoint is still above tol. A gap ratio with a zero
+    denominator counts as 0, and the loop, in Newton-Fourier steps since
+    its fifth iteration, steps on to its rounding floor and stalls, so the
+    CLI exits 2 with one error line."""
     model = helpers.random_supercritical(np.random.default_rng(6), 6, 2.0)
     with pytest.raises(NoConvergenceError, match="equilibrium bracket stalled"):
         solve_endemic(model, tol=1e-16)

@@ -372,18 +372,17 @@ def test_cli_names_a_short_rate_vector(tmp_path, capsys):
         "error: DimensionMismatchError: rate vectors must have shape (2,), got (1,) and (2,)\n")
 
 
-# sha256 of `netsirs sweep` CSVs on five_node, re-recorded when the
-# Jacobian began to take x* = gamma y* / (W y*) in place of 1 - y* - z*.
-# Only endemic_abscissa moved, by one in the 12th digit, on 3 and 4 rows
-# (scales 0.7, 0.95, 1.5 and 0.5625, 0.625, 1.4375, 1.5); before rounding,
-# each moved value lies within 3.8e-13 of the 60-digit abscissa
-# (oracles.endemic_abscissa_mpmath), and at five of the six scales within
-# 4.8e-14
+# sha256 of `netsirs sweep` CSVs on five_node, re-recorded when
+# solve_endemic began to take Newton-Fourier steps to the end once Phi is
+# slow. Only endemic_norm moved, by one in the 12th digit, at scale 0.15
+# of the first grid and 0.125 of the second; y* moved at those scales and
+# at 0.2 and 0.1875, and at each it lies within its bracket_gap of the
+# 60-digit root (oracles.endemic_mpmath)
 _SWEEP_GOLDEN = {
     "supercritical": (["0.05", "1.5", "30"], "30 rows, 0 warnings",
-                      "6559b645888ec061a2b40032ae44c8afb3fe9a54d5810f7026c6b6dda5cd98ae"),
+                      "42ad06799311cbfd224da1d0c524471bc57de3720d4f991a8397473ff72ea7f7"),
     "with_failures": (["-0.5", "2.0", "41"], "41 rows, 9 warnings",
-                      "dedcd3e6569f1de0b524685ba2bcb30661145865aecf2aaed108b9efd9606b99"),
+                      "db063d033dfff3b64165395170f1b3aea945aab5653f7d0b2de3d6d145503977"),
 }
 
 
@@ -694,6 +693,33 @@ def test_cli_solver_failure_exits_two(tmp_path):
                "--dt", "1.0", "--t-end", "10", "--out", str(tmp_path / "x.csv"))
     assert res.returncode == 2
     assert "SimplexViolationError" in res.stderr
+
+
+_OVERFLOWS = {
+    # W ~ 1e150: a stage overflows inside the first step
+    "simulate at W x 1e150": (
+        ["simulate", "--random", "1", "--t-end", "1"], 1e150, 2, "",
+        "error: SimplexViolationError: state left the simplex at t = 0.01; reduce dt\n"),
+    # scale * W overflows to inf on two rows, which validate_model rejects
+    "sweep to 1e308": (["sweep", "--scale-min", "0", "--scale-max", "1e308", "--steps", "3"],
+                       1.0, 0, "wrote {out} (3 rows, 3 warnings)\n", ""),
+    # B x overflows in the Perron bracket of the DFE abscissa at 1e307
+    "sweep to 1e307": (["sweep", "--scale-min", "1e300", "--scale-max", "1e307", "--steps", "2"],
+                       1.0, 0, "wrote {out} (2 rows, 1 warnings)\n", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+def test_cli_overflow_leaves_only_its_error_line(tmp_path, capsys, case):
+    """An overflow the library turns into a named error or a failed row
+    reaches stderr only as that error's one line, with no numpy warning,
+    also under the RuntimeWarning-as-error filter of pyproject.toml."""
+    argv, factor, code, stdout, stderr = _OVERFLOWS[case]
+    model = load_model(FIVE_NODE)
+    path, out = tmp_path / "model.json", tmp_path / "out.csv"
+    helpers.save_model(validate_model(factor * model.W, model.gamma, model.delta), path)
+    assert netsirs.cli.main([*argv, "--model", str(path), "--out", str(out)]) == code
+    assert capsys.readouterr() == (stdout.format(out=out), stderr)
 
 
 def test_cli_equilibrium_report(tmp_path):
