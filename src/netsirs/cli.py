@@ -132,8 +132,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     solved = solve_endemic(model, tol=args.tol, spectral=spectral)
     if isinstance(solved, EndemicEquilibrium):
         dfe["verdict"] = UNSTABLE
-        certificate = endemic_certificate(model, solved.y_star, solved.z_star,
-                                          seed=args.seed, tol=args.tol)
+        certificate = endemic_certificate(model, solved.y_star, seed=args.seed, tol=args.tol)
         report["endemic"] = {
             "y_star": solved.y_star.tolist(),
             "z_star": solved.z_star.tolist(),
@@ -249,14 +248,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError, NumericalError) as exc:
         # ModelInputError is a ValueError; OSError covers unreadable or
         # unwritable files, MemoryError an output too large to allocate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 if __name__ == "__main__":

@@ -70,10 +70,9 @@ class StabilityCertificate:
 
 def jacobian_dfe(model: ModelInstance) -> np.ndarray:
     """Reduced Jacobian [[W - [gamma], 0], [[gamma], -[delta]]] at the
-    infection-free state, jacobian_endemic at the origin. Kept for tests
-    and oracles; dfe_abscissa gives its abscissa without forming it."""
-    origin = np.zeros(model.n)
-    return jacobian_endemic(model, origin, origin)
+    infection-free state, jacobian_endemic at y* = 0. Kept for tests and
+    oracles; dfe_abscissa gives its abscissa without forming it."""
+    return jacobian_endemic(model, np.zeros(model.n))
 
 
 @dataclass(frozen=True)
@@ -114,27 +113,25 @@ def dfe_abscissa(model: ModelInstance) -> DfeAbscissa:
 def jacobian_endemic(
     model: ModelInstance,
     y_star: np.ndarray,
-    z_star: np.ndarray,
+    *,
     tol: float = 1e-12,
 ) -> np.ndarray:
     """Reduced Jacobian [[[x*] W - [W y*] - [gamma], -[W y*]], [[gamma],
-    -[delta]]] at a stationary point (y_star, z_star), with x* =
-    x_star(model, y_star), which is 1 at the origin (jacobian_dfe).
+    -[delta]]] at the stationary point of profile y_star, where z* = alpha y*
+    and x* = x_star(model, y_star), which is 1 at the origin (jacobian_dfe).
 
-    Raises NotEquilibriumError unless |y - Phi(y)| <= 100 tol y and
-    |z - alpha y| <= 100 tol z componentwise, with tol the tolerance the
-    point was solved to, so a NaN profile fails and the origin passes,
-    and ModelInputError when tol is not positive and finite.
+    Raises NotEquilibriumError unless |y - Phi(y)| <= 100 tol y
+    componentwise, with tol the tolerance the point was solved to, so a
+    NaN profile fails and the origin passes, and ModelInputError when tol
+    is not positive and finite.
     """
     check_tol(tol)
     y = np.asarray(y_star, dtype=float)
-    z = np.asarray(z_star, dtype=float)
     bound = 100.0 * tol
-    point = np.concatenate([y, z])
-    defect = np.abs(point - np.concatenate([phi(y, model.M, model.alpha), model.alpha * y]))
-    if not np.all(defect <= bound * point):
+    defect = np.abs(y - phi(y, model.M, model.alpha))
+    if not np.all(defect <= bound * y):
         with np.errstate(divide="ignore", invalid="ignore"):
-            worst = np.max(defect / point)
+            worst = np.max(defect / y)
         raise NotEquilibriumError(f"fixed-point defect {worst:.3e} exceeds {bound:.3e}")
     n = model.n
     x = x_star(model, y)
@@ -255,11 +252,11 @@ def spectral_abscissa(A: np.ndarray) -> float:
 def endemic_certificate(
     model: ModelInstance,
     y_star: np.ndarray,
-    z_star: np.ndarray,
+    *,
     seed: int = 0,
     tol: float = 1e-12,
 ) -> StabilityCertificate:
-    """Assemble the two-route certificate at an endemic profile.
+    """Assemble the two-route certificate at the endemic profile y_star.
 
     The disk check runs on default_lambda_samples(eta, seed). The verdict
     is Stable when the abscissa is negative and every disk sample passes,
@@ -273,7 +270,7 @@ def endemic_certificate(
     """
     y = np.asarray(y_star, dtype=float)
     eta = eta_bound(model, y)
-    abscissa = spectral_abscissa(jacobian_endemic(model, y, z_star, tol=tol))
+    abscissa = spectral_abscissa(jacobian_endemic(model, y, tol=tol))
     samples = gershgorin_certificate(model, y, default_lambda_samples(eta, seed=seed))
     failed = [] if abscissa < 0.0 else ["dense abscissa >= 0"]
     failed += [f"disk margin {s.min_margin:.3e} not positive at lambda = [{s.lam.real!r}, "

@@ -38,17 +38,17 @@ def run_sweep(
 ) -> tuple[list[SweepRow], int]:
     """Rescale W by each s on a uniform grid and re-solve each row.
 
-    Returns the rows in grid order plus the number of warnings: rows
-    that failed and were recorded as NaN, each with its error, and rows
-    whose scaled model lies near the threshold (NoEndemic.near_threshold),
-    written like any row without an endemic state. steps below 1, a
-    non-finite scale bound or a tol that is not positive and finite raises
-    ModelInputError before the first row. The Perron pair of
-    the model is solved once: rho(sM) = s rho(M) and the eigenvectors do
-    not move, so every row reuses it scaled by s. An error of that one
-    solve is not a row failure and propagates to the caller. The DFE
-    abscissa comes from dfe_abscissa, with no eigensolve; only the
-    endemic abscissa of a supercritical row takes a dense one.
+    Returns the rows in grid order plus the number of warnings: rows that
+    failed, recorded as NaN with their error, and rows written as computed
+    whose scaled model lies near the threshold (NoEndemic.near_threshold)
+    or whose dense endemic abscissa is not negative (endemic_certificate's
+    failed route). steps below 1, a non-finite scale bound or a tol that
+    is not positive and finite raises ModelInputError before the first
+    row. The Perron pair of the model is solved once: rho(sM) = s rho(M)
+    and the eigenvectors do not move, so every row reuses it scaled by s.
+    An error of that one solve is not a row failure and propagates to the
+    caller. The DFE abscissa comes from dfe_abscissa, with no eigensolve;
+    only the endemic abscissa of a supercritical row takes a dense one.
     """
     if steps < 1:
         raise ModelInputError(f"steps must be at least 1, got {steps}")
@@ -67,9 +67,8 @@ def run_sweep(
             solved = solve_endemic(scaled, tol=tol, spectral=spectral)
             if isinstance(solved, EndemicEquilibrium):
                 norm = float(np.max(np.abs(solved.y_star)))
-                endemic = spectral_abscissa(
-                    jacobian_endemic(scaled, solved.y_star, solved.z_star, tol=tol)
-                )
+                endemic = spectral_abscissa(jacobian_endemic(scaled, solved.y_star, tol=tol))
+                warnings += not endemic < 0.0
             else:
                 norm = 0.0
                 endemic = float("nan")

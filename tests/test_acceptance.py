@@ -119,7 +119,7 @@ def test_acceptance_05_endemic_decay_rate_bound():
         eq = solve_endemic(m)
         assert isinstance(eq, EndemicEquilibrium)
         eta = eta_bound(m, eq.y_star)
-        abscissa = spectral_abscissa(jacobian_endemic(m, eq.y_star, eq.z_star))
+        abscissa = spectral_abscissa(jacobian_endemic(m, eq.y_star))
         worst_excess = max(worst_excess, abscissa - (-eta + 1e-6))
     elapsed = time.perf_counter() - start
     _report(5, worst_excess <= 0.0 and elapsed < 60.0,
@@ -136,7 +136,7 @@ def test_acceptance_06_schur_determinant_identity():
     worst = 0.0
     for m in models[:10]:
         eq = solve_endemic(m)
-        J = jacobian_endemic(m, eq.y_star, eq.z_star).astype(complex)
+        J = jacobian_endemic(m, eq.y_star).astype(complex)
         n = m.n
         eye = np.eye(2 * n)
         for _ in range(50):

@@ -507,7 +507,7 @@ def test_solve_endemic_certified_bracket(n, seed, log_excess):
     assert solved.bracket_gap <= TOL
     assert np.all(solved.y_star > 0.0)
     assert oracles.residual(model, solved.y_star, solved.z_star) <= 100.0 * TOL
-    jacobian_endemic(model, solved.y_star, solved.z_star, tol=TOL)
+    jacobian_endemic(model, solved.y_star, tol=TOL)
     if spectral.lam >= 1.01:
         y_star, iterations, gap, halving = oracles.bracket_serial(model, spectral.v_right, TOL)
         assert np.max(np.abs(solved.y_star - y_star)) <= TOL

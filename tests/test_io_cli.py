@@ -297,7 +297,7 @@ def test_sweep_solves_perron_pair_once(monkeypatch):
         solved = solve_endemic(ref, spectral=spectral)
         if isinstance(solved, EndemicEquilibrium):
             norm = float(np.max(np.abs(solved.y_star)))
-            endemic = spectral_abscissa(jacobian_endemic(ref, solved.y_star, solved.z_star))
+            endemic = spectral_abscissa(jacobian_endemic(ref, solved.y_star))
         else:
             norm, endemic = 0.0, float("nan")
         expected = (r0, norm, spectral_abscissa(jacobian_dfe(ref)), endemic)
@@ -327,6 +327,21 @@ def test_sweep_row_keeps_the_stall_reason():
     assert failures == 1 and row.scale == 1.0
     assert np.all(np.isnan([row.r0, row.endemic_norm, row.dfe_abscissa, row.endemic_abscissa]))
     assert row.error.startswith(_STALL)
+
+
+def test_sweep_warns_where_the_dense_endemic_abscissa_is_not_negative():
+    """At scale 1e300 the five_node endemic abscissa comes out +9.1e282,
+    inside the eigensolve's rounding (||J|| eps ~ 1e284). The certificate
+    calls that route failed, so the sweep counts the row as a warning and
+    writes it as computed."""
+    model = load_model(FIVE_NODE)
+    rows, warnings = run_sweep(model, 1e300, 1e300, 1)
+    (row,) = rows
+    assert warnings == 1 and row.error is None
+    assert row.endemic_abscissa > 0.0
+    scaled = validate_model(1e300 * model.W, model.gamma, model.delta)
+    cert = endemic_certificate(scaled, solve_endemic(scaled).y_star)
+    assert cert.reason == "dense abscissa >= 0"
 
 
 @pytest.mark.parametrize("command", ["equilibrium", "stability"])
@@ -562,14 +577,13 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, command, tol):
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_library_rejects_bad_tol(tol):
     m = helpers.ref5()
-    solved = solve_endemic(m)
-    y, z = solved.y_star, solved.z_star
+    y = solve_endemic(m).y_star
     calls = [
         lambda: reproduction_number(m, tol=tol),
         lambda: solve_endemic(m, tol=tol),
         lambda: iterate_phi(y, m.M, m.alpha, tol=tol),
-        lambda: jacobian_endemic(m, y, z, tol=tol),
-        lambda: endemic_certificate(m, y, z, tol=tol),
+        lambda: jacobian_endemic(m, y, tol=tol),
+        lambda: endemic_certificate(m, y, tol=tol),
         lambda: run_sweep(m, 0.5, 1.5, 3, tol=tol),
     ]
     for call in calls:
@@ -703,9 +717,10 @@ _OVERFLOWS = {
     # scale * W overflows to inf on two rows, which validate_model rejects
     "sweep to 1e308": (["sweep", "--scale-min", "0", "--scale-max", "1e308", "--steps", "3"],
                        1.0, 0, "wrote {out} (3 rows, 3 warnings)\n", ""),
-    # B x overflows in the Perron bracket of the DFE abscissa at 1e307
+    # B x overflows in the Perron bracket of the DFE abscissa at 1e307; at
+    # 1e300 the dense endemic abscissa is not negative
     "sweep to 1e307": (["sweep", "--scale-min", "1e300", "--scale-max", "1e307", "--steps", "2"],
-                       1.0, 0, "wrote {out} (2 rows, 1 warnings)\n", ""),
+                       1.0, 0, "wrote {out} (2 rows, 2 warnings)\n", ""),
 }
 
 

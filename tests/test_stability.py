@@ -56,7 +56,7 @@ def test_jacobian_dfe_single_node():
 
 @pytest.mark.parametrize("n", [1, 4, 30])
 def test_jacobian_dfe_equals_its_blocks(n):
-    """jacobian_endemic at y = z = 0 gives the block lower-triangular
+    """jacobian_endemic at y* = 0 gives the block lower-triangular
     [[W - [gamma], 0], [[gamma], -[delta]]] exactly, up to the sign of the
     zeros of its upper right block -[W y]."""
     m = helpers.random_supercritical(np.random.default_rng(n), n, 2.0)
@@ -81,7 +81,7 @@ def test_jacobian_dfe_matches_finite_differences(ref5):
 
 def test_jacobian_endemic_uniform_hand_assembly(out_regular3):
     eq = solve_endemic(out_regular3)
-    J = jacobian_endemic(out_regular3, eq.y_star, eq.z_star)
+    J = jacobian_endemic(out_regular3, eq.y_star)
     # x* = 1/2, W y* = 1/2, gamma = delta = 1 gives the blocks
     # [ W/2 - 3I/2   -I/2 ]
     # [ I            -I   ]
@@ -96,7 +96,7 @@ def test_jacobian_endemic_uniform_hand_assembly(out_regular3):
 def test_jacobian_endemic_matches_finite_differences(rng):
     m = helpers.random_supercritical(rng, 4, r0_target=2.5)
     eq = solve_endemic(m)
-    J = jacobian_endemic(m, eq.y_star, eq.z_star)
+    J = jacobian_endemic(m, eq.y_star)
 
     def f(u):
         ydot, zdot = rhs(m, u[:4], u[4:])
@@ -109,21 +109,19 @@ def test_jacobian_endemic_matches_finite_differences(rng):
 def test_jacobian_endemic_rejects_non_stationary_point(ref5):
     eq = solve_endemic(ref5)
     with pytest.raises(NotEquilibriumError):
-        jacobian_endemic(ref5, eq.y_star + 0.01, eq.z_star)
+        jacobian_endemic(ref5, eq.y_star + 0.01)
 
 
-@pytest.mark.parametrize("where", ["y", "z"])
-def test_a_nan_profile_is_not_an_equilibrium(ref5, where):
+def test_a_nan_profile_is_not_an_equilibrium(ref5):
     """A NaN entry fails the componentwise defect test, so the certificate
     names the profile instead of reaching the eigensolver with a NaN
     Jacobian."""
-    eq = solve_endemic(ref5)
-    y, z = eq.y_star.copy(), eq.z_star.copy()
-    {"y": y, "z": z}[where][2] = np.nan
+    y = solve_endemic(ref5).y_star.copy()
+    y[2] = np.nan
     with pytest.raises(NotEquilibriumError, match="fixed-point defect nan exceeds 1.000e-10"):
-        jacobian_endemic(ref5, y, z)
+        jacobian_endemic(ref5, y)
     with pytest.raises(NotEquilibriumError):
-        endemic_certificate(ref5, y, z)
+        endemic_certificate(ref5, y)
 
 
 def test_the_defect_test_is_componentwise():
@@ -132,13 +130,29 @@ def test_the_defect_test_is_componentwise():
     1e-6 of itself, a change far below 100 tol in absolute terms, fails."""
     model = validate_model(*helpers.log_uniform_family(10)[0])
     eq = solve_endemic(model)
-    jacobian_endemic(model, eq.y_star, eq.z_star)
+    jacobian_endemic(model, eq.y_star)
     y = eq.y_star.copy()
     k = int(np.argmin(y))
     assert y[k] < 1e-17
     y[k] *= 1.0 + 1e-6
     with pytest.raises(NotEquilibriumError):
-        jacobian_endemic(model, y, eq.z_star)
+        jacobian_endemic(model, y)
+
+
+def test_the_jacobian_and_certificate_take_y_star_alone(ref5):
+    """A stationary point is its profile y*: the certificate's abscissa is
+    the one of jacobian_endemic at y*, bit for bit, the DFE Jacobian is
+    jacobian_endemic at y* = 0, and tol and seed are keyword-only, so a
+    stale (model, y, z) call raises TypeError."""
+    eq = solve_endemic(ref5)
+    cert = endemic_certificate(ref5, eq.y_star)
+    assert cert.verdict == STABLE
+    assert cert.spectral_abscissa == spectral_abscissa(jacobian_endemic(ref5, eq.y_star))
+    assert np.array_equal(jacobian_dfe(ref5), jacobian_endemic(ref5, np.zeros(ref5.n)))
+    with pytest.raises(TypeError):
+        jacobian_endemic(ref5, eq.y_star, eq.z_star)
+    with pytest.raises(TypeError):
+        endemic_certificate(ref5, eq.y_star, eq.z_star)
 
 
 def test_eta_bound(out_regular3):
@@ -166,7 +180,7 @@ def test_schur_matrix_pole_rejected(out_regular3):
 def test_schur_determinant_identity(ref5):
     """det(J - lam I) factors as (-1)^n prod(delta_i + lam) det S(lam)."""
     eq = solve_endemic(ref5)
-    J = jacobian_endemic(ref5, eq.y_star, eq.z_star).astype(complex)
+    J = jacobian_endemic(ref5, eq.y_star).astype(complex)
     rng = np.random.default_rng(42)
     for _ in range(20):
         lam = complex(rng.uniform(-0.2, 2.0), rng.uniform(-2.0, 2.0))
@@ -321,7 +335,7 @@ def test_endemic_certificate_with_a_tiny_delta():
     # 1e15 delta_0 away from it: the pole test is relative to delta_i
     model = validate_model([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0], [1e-15, 0.5])
     eq = solve_endemic(model)
-    cert = endemic_certificate(model, eq.y_star, eq.z_star)
+    cert = endemic_certificate(model, eq.y_star)
     assert 0j in [sample.lam for sample in cert.gershgorin_samples]
     assert cert.verdict == "Stable"
 
@@ -347,7 +361,7 @@ def _certified(which):
     model = (load_model(_FIVE_NODE) if which == "five_node"
              else validate_model(*helpers.log_uniform_family(10)[which]))
     eq = solve_endemic(model)
-    return model, eq.y_star, endemic_certificate(model, eq.y_star, eq.z_star)
+    return model, eq.y_star, endemic_certificate(model, eq.y_star)
 
 
 @settings(deadline=None, max_examples=60)
@@ -355,15 +369,15 @@ def _certified(which):
 @example(17, [4, -4, 0, 0, 0, 0])
 @example(0, [-4] * 6)
 def test_a_few_ulps_of_y_star_move_no_verdict_and_no_margin_sign(which, ulps):
-    """y* moved by up to 4 ulps per component, with z = alpha y, keeps the
-    Stable verdict and the sign of every sample's margin: the margins come
-    from nonnegative terms, and x* = gamma y / (W y) moves by ulps too."""
+    """y* moved by up to 4 ulps per component keeps the Stable verdict and
+    the sign of every sample's margin: the margins come from nonnegative
+    terms, and x* = gamma y / (W y) moves by ulps too."""
     model, y_star, cert = _certified(which)
     y = y_star.copy()
     for k, steps in enumerate(ulps[:model.n]):
         for _ in range(abs(steps)):
             y[k] = np.nextafter(y[k], np.copysign(np.inf, steps))
-    moved = endemic_certificate(model, y, model.alpha * y)
+    moved = endemic_certificate(model, y)
     assert cert.verdict == moved.verdict == STABLE
     assert ([s.min_margin > 0.0 for s in moved.gershgorin_samples]
             == [s.min_margin > 0.0 for s in cert.gershgorin_samples])
@@ -398,7 +412,7 @@ def test_spectral_abscissa_hand_values():
 
 def test_endemic_certificate_reference_network(ref5):
     eq = solve_endemic(ref5)
-    cert = endemic_certificate(ref5, eq.y_star, eq.z_star)
+    cert = endemic_certificate(ref5, eq.y_star)
     assert (cert.verdict, cert.reason) == (STABLE, None)
     assert cert.eta == pytest.approx(0.1)
     assert cert.spectral_abscissa < 0.0
@@ -414,7 +428,7 @@ def test_endemic_certificate_is_never_unstable(ref5, monkeypatch, abscissa):
     # a dense abscissa that is not negative means one route failed
     eq = solve_endemic(ref5)
     monkeypatch.setattr(netsirs.stability, "spectral_abscissa", lambda A: abscissa)
-    cert = endemic_certificate(ref5, eq.y_star, eq.z_star)
+    cert = endemic_certificate(ref5, eq.y_star)
     assert cert.spectral_abscissa == abscissa
     assert all(s.all_disks_left for s in cert.gershgorin_samples)
     assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "dense abscissa >= 0")

@@ -292,7 +292,7 @@ def _analysis(which, c: float = 1.0):
     model = validate_model(c * model.W, c * model.gamma, c * model.delta)
     r0, spectral = reproduction_number(model)
     equilibrium = solve_endemic(model, spectral=spectral)
-    certificate = endemic_certificate(model, equilibrium.y_star, equilibrium.z_star)
+    certificate = endemic_certificate(model, equilibrium.y_star)
     rows, warnings = run_sweep(model, -0.1, 1.0, 12)
     failed = [row.error and row.error.split(":")[0] for row in rows]
     return r0, dfe_abscissa(model), equilibrium.y_star, certificate, failed, warnings
