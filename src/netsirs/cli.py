@@ -53,13 +53,13 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     r0, spectral = reproduction_number(model)
     solved = solve_endemic(model, tol=args.tol, spectral=spectral)
     if isinstance(solved, EndemicEquilibrium):
-        print(f"R0 = {r0:.6f}")
-        print(f"y_star: {_vec(solved.y_star)}")
-        print(f"z_star: {_vec(solved.z_star)}")
-        print(f"x_star: {_vec(solved.x_star)}")
-        print(f"iterations: {solved.iterations}")
-        print(f"residual: {solved.residual:.3e}")
-        print(f"bracket_gap: {solved.bracket_gap:.3e}")
+        lines = [f"R0 = {r0:.6f}",
+                 f"y_star: {_vec(solved.y_star)}",
+                 f"z_star: {_vec(solved.z_star)}",
+                 f"x_star: {_vec(solved.x_star)}",
+                 f"iterations: {solved.iterations}",
+                 f"residual: {solved.residual:.3e}",
+                 f"bracket_gap: {solved.bracket_gap:.3e}"]
         report = {
             "r0": r0,
             "y_star": solved.y_star.tolist(),
@@ -71,13 +71,15 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
         }
     else:
         tail = " [near threshold]" if solved.near_threshold else ""
-        print(f"NoEndemic (R0 = {solved.r0:.6f}){tail}")
+        lines = [f"NoEndemic (R0 = {solved.r0:.6f}){tail}"]
         report = {"r0": solved.r0, "no_endemic": True,
                   "near_threshold": solved.near_threshold}
+    # the file first, so a failed write leaves stdout empty
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        lines.append(f"wrote {args.out}")
+    print("\n".join(lines))
     return 0
 
 
@@ -86,14 +88,10 @@ def _suffixed(path: str, index: int) -> str:
     return f"{base}_{index:03d}{ext or '.csv'}"
 
 
-def _check_seed(seed: int) -> None:
-    # judged here, before any work, since numpy's own message names no flag
-    if seed < 0:
-        raise ModelInputError(f"--seed must be at least 0, got {seed}")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    # judged here, before any work, since numpy's own message names no flag
+    if args.seed < 0:
+        raise ModelInputError(f"--seed must be at least 0, got {args.seed}")
     model = load_model(args.model)
     if args.random < 0:
         raise ModelInputError(f"--random must be at least 0, got {args.random}")
@@ -118,7 +116,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     """The DFE verdict is solve_endemic's threshold state of R0."""
-    _check_seed(args.seed)
     model = load_model(args.model)
     r0, spectral = reproduction_number(model)
     dfe = {"abscissa": dfe_abscissa(model).abscissa, "verdict": STABLE}
@@ -132,7 +129,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     solved = solve_endemic(model, tol=args.tol, spectral=spectral)
     if isinstance(solved, EndemicEquilibrium):
         dfe["verdict"] = UNSTABLE
-        certificate = endemic_certificate(model, solved.y_star, seed=args.seed, tol=args.tol)
+        certificate = endemic_certificate(model, solved.y_star, tol=args.tol)
         report["endemic"] = {
             "y_star": solved.y_star.tolist(),
             "z_star": solved.z_star.tolist(),
@@ -152,10 +149,10 @@ def cmd_stability(args: argparse.Namespace) -> int:
         dfe.update(verdict=INCONCLUSIVE, reason="near threshold")
         report["endemic"] = {"no_endemic": True, "near_threshold": True}
     text = json.dumps(report, indent=2)
-    print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
     return 0
 
 
@@ -222,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="stability certificate as JSON")
     common(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the random Gershgorin samples")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_stability)
 

@@ -88,19 +88,13 @@ def sample_initial_states(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Draw initial conditions uniformly from the per-population simplex.
 
-    Each population gets two sorted uniforms (u1, u2), giving the spacings
-    (x, y, z) = (u1, u2 - u1, 1 - u2). A draw whose infected fractions
-    are all exactly zero is rejected and redrawn.
+    Each population of each start gets two sorted uniforms (u1, u2),
+    giving the spacings (x, y, z) = (u1, u2 - u1, 1 - u2). All count
+    starts come from one (count, n, 2) draw, whose values are those of
+    count successive (n, 2) draws.
     """
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    while len(out) < count:
-        u = np.sort(rng.random((n, 2)), axis=1)
-        y0 = u[:, 1] - u[:, 0]
-        z0 = 1.0 - u[:, 1]
-        if not np.any(y0 > 0.0):
-            continue
-        out.append((y0, z0))
-    return out
+    u = np.sort(rng.random((count, n, 2)), axis=-1)
+    return [(v[:, 1] - v[:, 0], 1.0 - v[:, 1]) for v in u]
 
 
 def trajectory_header(n: int, lyapunov: bool) -> str:

@@ -253,25 +253,24 @@ def endemic_certificate(
     model: ModelInstance,
     y_star: np.ndarray,
     *,
-    seed: int = 0,
     tol: float = 1e-12,
 ) -> StabilityCertificate:
     """Assemble the two-route certificate at the endemic profile y_star.
 
-    The disk check runs on default_lambda_samples(eta, seed). The verdict
-    is Stable when the abscissa is negative and every disk sample passes,
-    and Inconclusive otherwise, never Unstable: at an exact equilibrium
-    every disk margin is at least F(lam) > 0 on Re(lam) > -eta (see
-    gershgorin_certificate), so a route that disagrees has failed, and
-    proves nothing about the equilibrium. The reason of an Inconclusive
-    names each failed route: "dense abscissa >= 0", or the first sample
-    whose disk margin is not positive. Raises ModelInputError when tol
-    is not positive and finite.
+    The disk check runs on default_lambda_samples(eta), the same shifts
+    on every call. The verdict is Stable when the abscissa is negative
+    and every disk sample passes, and Inconclusive otherwise, never
+    Unstable: at an exact equilibrium every disk margin is at least
+    F(lam) > 0 on Re(lam) > -eta (see gershgorin_certificate), so a
+    route that disagrees has failed, and proves nothing about the
+    equilibrium. The reason of an Inconclusive names each failed route:
+    "dense abscissa >= 0", or the first sample whose disk margin is not
+    positive. Raises ModelInputError when tol is not positive and finite.
     """
     y = np.asarray(y_star, dtype=float)
     eta = eta_bound(model, y)
     abscissa = spectral_abscissa(jacobian_endemic(model, y, tol=tol))
-    samples = gershgorin_certificate(model, y, default_lambda_samples(eta, seed=seed))
+    samples = gershgorin_certificate(model, y, default_lambda_samples(eta))
     failed = [] if abscissa < 0.0 else ["dense abscissa >= 0"]
     failed += [f"disk margin {s.min_margin:.3e} not positive at lambda = [{s.lam.real!r}, "
                f"{s.lam.imag!r}]" for s in samples if not s.all_disks_left][:1]

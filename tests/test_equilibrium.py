@@ -547,6 +547,36 @@ def test_solve_endemic_stops_when_the_bracket_state_recurs(monkeypatch, case):
     assert first + period <= iterations <= 2 * max(first, period) + period
 
 
+@pytest.mark.parametrize("tol", [1e-16, 1e-17])
+def test_rows_that_meet_above_tol_can_still_close(monkeypatch, tol):
+    """On the log-uniform family at d = 6, draw 7 (n = 4), the bracket rows
+    become equal at iteration 5 while the defect of their midpoint,
+    1.81e-16, is still above tol; the next Phi step brings the defect to 0
+    and the solve closes at iteration 6. A stop where the rows meet above
+    tol would turn this success into NoConvergenceError."""
+    seen = {}
+    rule = netsirs.equilibrium.stop_rule
+
+    def recording(*args):
+        closed = rule(*args)
+
+        def record(count, width, state, name):
+            Y = np.frombuffer(state[0]).reshape(2, -1)
+            seen[count] = (float(np.max(np.abs(Y[0] - Y[1]))), width)
+            return closed(count, width, state, name)
+        return record
+
+    monkeypatch.setattr(netsirs.equilibrium, "stop_rule", recording)
+    model = validate_model(*helpers.log_uniform_family(6)[7])
+    assert model.n == 4
+    solved = solve_endemic(model, tol=tol)
+    gap, defect = seen[5]
+    assert gap == 0.0 and defect > tol
+    assert solved.iterations == 6
+    assert solved.bracket_gap == 0.0
+    assert solved.residual <= tol
+
+
 def test_cli_equilibrium_exits_two_when_the_rows_meet_above_tol(tmp_path, capsys):
     """On seed 6 n 6 at tol 1e-16 the bracket rows become equal while the
     defect of their midpoint is still above tol. A gap ratio with a zero

@@ -163,6 +163,23 @@ def test_sample_initial_states_on_simplex():
         assert np.array_equal(a, c) and np.array_equal(b, d)
 
 
+@pytest.mark.parametrize("n, count, seed", [(5, 8, 0), (1, 50, 3), (200, 7, 9)])
+def test_sample_initial_states_is_one_draw_of_the_per_start_draws(n, count, seed):
+    """One (count, n, 2) draw gives the starts that count successive
+    (n, 2) draws, each sorted and redrawn while its y0 is all zero, gave
+    before, bit for bit, and so the same --random CSV bytes."""
+    rng = np.random.default_rng(seed)
+    per_start = []
+    while len(per_start) < count:
+        u = np.sort(rng.random((n, 2)), axis=1)
+        if np.any(u[:, 1] - u[:, 0] > 0.0):
+            per_start.append((u[:, 1] - u[:, 0], 1.0 - u[:, 1]))
+    draws = sample_initial_states(n, count, np.random.default_rng(seed))
+    assert len(draws) == count
+    for (y0, z0), (y1, z1) in zip(draws, per_start):
+        assert y0.tobytes() == y1.tobytes() and z0.tobytes() == z1.tobytes()
+
+
 def test_trajectory_csv_format(tmp_path, out_regular3):
     assert trajectory_header(2, False) == "t,y_1,y_2,z_1,z_2,x_1,x_2"
     assert trajectory_header(1, True) == "t,y_1,z_1,x_1,V"
@@ -617,6 +634,15 @@ _BAD_INPUT = {
                                 "--t-end", "1e6"], "MemoryError: Unable to allocate"),
     "sweep too many steps": (["sweep", "--model", FIVE_NODE, "--scale-min", "0.1", "--scale-max",
                               "1", "--steps", "1000000000000000"], "MemoryError: Unable to allocate"),
+    "sweep steps 0": (["sweep", "--model", FIVE_NODE, "--scale-min", "0.5", "--scale-max", "1.5",
+                       "--steps", "0"], "ModelInputError: steps must be at least 1, got 0"),
+    "simulate init and random": (["simulate", "--model", FIVE_NODE, "--init", "init.json",
+                                  "--random", "2"],
+                                 "ModelInputError: pass exactly one of --init PATH or --random K"),
+    "simulate no start": (["simulate", "--model", FIVE_NODE],
+                          "ModelInputError: pass exactly one of --init PATH or --random K"),
+    "stability seed": (["stability", "--model", FIVE_NODE, "--seed", "0"],
+                       "ModelInputError: unrecognized arguments: --seed 0"),
 }
 
 
@@ -631,6 +657,19 @@ def test_cli_bad_input_exits_one(tmp_path, capsys, case):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "stability"])
+def test_cli_unwritable_out_leaves_stdout_empty(tmp_path, capsys, command):
+    """The report file is written before stdout, so a failed --out exits 1
+    with its one error line and prints nothing of the report."""
+    out = tmp_path / "missing" / "report.json"
+    assert netsirs.cli.main([command, "--model", FIVE_NODE, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FileNotFoundError: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_reads_negative_float_as_value(tmp_path, capsys):
     spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
     argv = ["sweep", "--model", FIVE_NODE, "--scale-max", "1.5", "--steps", "4"]
@@ -639,17 +678,15 @@ def test_cli_reads_negative_float_as_value(tmp_path, capsys):
     assert spaced.read_bytes() == joined.read_bytes()
 
 
-@pytest.mark.parametrize("argv", [["stability", "--seed", "-1"],
-                                  ["simulate", "--random", "2", "--seed", "-5"]])
-def test_cli_rejects_negative_seed_before_any_work(tmp_path, capsys, monkeypatch, argv):
+def test_cli_rejects_negative_seed_before_any_work(tmp_path, capsys, monkeypatch):
     loads = _counting(load_model)
     monkeypatch.setattr(netsirs.cli, "load_model", loads)
-    command, *flags = argv
     out = tmp_path / "out"
-    assert netsirs.cli.main([command, "--model", FIVE_NODE, *flags, "--out", str(out)]) == 1
+    assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "2", "--seed", "-5",
+                             "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: ModelInputError: --seed must be at least 0, got {flags[-1]}\n"
+    assert captured.err == "error: ModelInputError: --seed must be at least 0, got -5\n"
     assert loads.calls == 0
     assert list(tmp_path.iterdir()) == []
 

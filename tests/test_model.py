@@ -100,6 +100,11 @@ def test_irreducible_convention_on_trivial_graph():
     assert not check_irreducible(np.zeros((0, 0)))
 
 
+def test_irreducible_rejects_a_non_square_matrix():
+    with pytest.raises(DimensionMismatchError, match=r"square matrix, got shape \(2, 3\)"):
+        check_irreducible(np.ones((2, 3)))
+
+
 def test_irreducible_on_directed_cycle():
     W = np.zeros((4, 4))
     for i in range(4):

@@ -142,17 +142,21 @@ def test_the_defect_test_is_componentwise():
 def test_the_jacobian_and_certificate_take_y_star_alone(ref5):
     """A stationary point is its profile y*: the certificate's abscissa is
     the one of jacobian_endemic at y*, bit for bit, the DFE Jacobian is
-    jacobian_endemic at y* = 0, and tol and seed are keyword-only, so a
-    stale (model, y, z) call raises TypeError."""
+    jacobian_endemic at y* = 0, and tol is keyword-only, so a stale
+    (model, y, z) call raises TypeError. The certificate takes no seed:
+    its disk samples are default_lambda_samples(eta), the seed-0 shifts."""
     eq = solve_endemic(ref5)
     cert = endemic_certificate(ref5, eq.y_star)
     assert cert.verdict == STABLE
     assert cert.spectral_abscissa == spectral_abscissa(jacobian_endemic(ref5, eq.y_star))
+    assert [s.lam for s in cert.gershgorin_samples] == default_lambda_samples(cert.eta, seed=0)
     assert np.array_equal(jacobian_dfe(ref5), jacobian_endemic(ref5, np.zeros(ref5.n)))
     with pytest.raises(TypeError):
         jacobian_endemic(ref5, eq.y_star, eq.z_star)
     with pytest.raises(TypeError):
         endemic_certificate(ref5, eq.y_star, eq.z_star)
+    with pytest.raises(TypeError):
+        endemic_certificate(ref5, eq.y_star, seed=0)
 
 
 def test_eta_bound(out_regular3):
