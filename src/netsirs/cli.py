@@ -89,14 +89,14 @@ def _suffixed(path: str, index: int) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # judged here, before any work, since numpy's own message names no flag
+    # every flag is judged before any work; numpy's message on a seed names no flag
     if args.seed < 0:
         raise ModelInputError(f"--seed must be at least 0, got {args.seed}")
-    model = load_model(args.model)
     if args.random < 0:
         raise ModelInputError(f"--random must be at least 0, got {args.random}")
     if (args.init is None) == (args.random == 0):
         raise ModelInputError("pass exactly one of --init PATH or --random K")
+    model = load_model(args.model)
     if args.init is not None:
         starts = [load_initial(args.init)]
     else:

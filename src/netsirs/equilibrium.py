@@ -179,11 +179,14 @@ def _newton_fourier(
     a super-solution when the iterate is, l' = max(pushed iterate, Phi(l))
     likewise a sub-solution, and each is kept if it
     passes its check in floating point: Phi(u') <= u' above,
-    Phi(l') >= l' > 0 below. A row that fails takes its Phi step.
+    Phi(l') >= l' > 0 below. A row that fails takes its Phi step. Rows
+    equal bit for bit take it with no solve: only Phi can close their defect.
     Returns the new rows.
     """
     stepped = psi(MY, alpha)
     upper, lower = Y
+    if np.array_equal(upper, lower):
+        return stepped
     jac = np.eye(len(upper)) - M / np.square(1.0 + (1.0 + alpha) * MY[0])[:, None]
     rhs = np.stack([upper - stepped[0], lower - stepped[1], np.ones_like(upper)], axis=1)
     try:

@@ -10,8 +10,8 @@ from .equilibrium import EndemicEquilibrium, solve_endemic
 from .errors import ModelInputError, NetsirsError, check_tol
 from .model import ModelInstance, validate_model
 from .spectral import reproduction_number
-from .stability import dfe_abscissa, jacobian_endemic, spectral_abscissa
-from .stability import jacobian_dfe  # noqa: F401  (perfbench/spans.py wraps this name)
+from .stability import STABLE, dfe_abscissa, endemic_certificate
+from .stability import jacobian_dfe, jacobian_endemic, spectral_abscissa  # noqa: F401  (perfbench/spans.py wraps these names)
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,14 @@ def run_sweep(
     Returns the rows in grid order plus the number of warnings: rows that
     failed, recorded as NaN with their error, and rows written as computed
     whose scaled model lies near the threshold (NoEndemic.near_threshold)
-    or whose dense endemic abscissa is not negative (endemic_certificate's
-    failed route). steps below 1, a non-finite scale bound or a tol that
-    is not positive and finite raises ModelInputError before the first
-    row. The Perron pair of the model is solved once: rho(sM) = s rho(M)
-    and the eigenvectors do not move, so every row reuses it scaled by s.
-    An error of that one solve is not a row failure and propagates to the
-    caller. The DFE abscissa comes from dfe_abscissa, with no eigensolve;
-    only the endemic abscissa of a supercritical row takes a dense one.
+    or whose endemic_certificate verdict is not Stable, the verdict the
+    stability command reports. steps below 1, a non-finite scale bound or
+    a tol that is not positive and finite raises ModelInputError before
+    the first row. The Perron pair of the model is solved once: rho(sM) =
+    s rho(M) and the eigenvectors do not move, so every row reuses it
+    scaled by s. An error of that one solve is not a row failure and
+    propagates to the caller. The DFE abscissa comes from dfe_abscissa,
+    with no eigensolve; only the certificate takes a dense one.
     """
     if steps < 1:
         raise ModelInputError(f"steps must be at least 1, got {steps}")
@@ -67,12 +67,11 @@ def run_sweep(
             solved = solve_endemic(scaled, tol=tol, spectral=spectral)
             if isinstance(solved, EndemicEquilibrium):
                 norm = float(np.max(np.abs(solved.y_star)))
-                endemic = spectral_abscissa(jacobian_endemic(scaled, solved.y_star, tol=tol))
-                warnings += not endemic < 0.0
+                certificate = endemic_certificate(scaled, solved.y_star, tol=tol)
+                endemic, warned = certificate.spectral_abscissa, certificate.verdict != STABLE
             else:
-                norm = 0.0
-                endemic = float("nan")
-                warnings += solved.near_threshold
+                norm, endemic, warned = 0.0, float("nan"), solved.near_threshold
+            warnings += warned
             rows.append(SweepRow(scale=scale, r0=spectral.lam, endemic_norm=norm,
                                  dfe_abscissa=dfe, endemic_abscissa=endemic))
         except NetsirsError as exc:

@@ -592,3 +592,19 @@ def test_cli_equilibrium_exits_two_when_the_rows_meet_above_tol(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: NoConvergenceError: equilibrium bracket stalled ")
     assert err.count("\n") == 1
+
+
+def test_equal_rows_take_a_phi_step_not_a_dense_solve(monkeypatch):
+    """On seed 6 n 6 at tol 1e-16 the rows are equal bit for bit from
+    iteration 12 on, with the defect above tol. Each later step is a Phi
+    step, so the loop stalls at iteration 18 as before after 8 dense
+    solves, where one solve per Newton-Fourier step took 14."""
+    model = helpers.random_supercritical(np.random.default_rng(6), 6, 2.0)
+    _, spectral = reproduction_number(model)
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    with pytest.raises(NoConvergenceError, match=r"stalled \S+ wide, above tol = 1\.000e-16, "
+                                                 r"after 18 iterations"):
+        solve_endemic(model, tol=1e-16, spectral=spectral)
+    assert len(calls) == 8

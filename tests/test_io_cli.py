@@ -23,6 +23,8 @@ import netsirs.stability
 import netsirs.sweep
 import oracles
 from netsirs import (
+    INCONCLUSIVE,
+    STABLE,
     DimensionMismatchError,
     EndemicEquilibrium,
     IntegratorConfig,
@@ -497,13 +499,43 @@ def test_sweep_takes_one_dense_eigensolve_per_supercritical_row(monkeypatch):
     # Jacobian of a supercritical row goes through a dense eigensolve
     counted = _counting(spectral_abscissa)
     eigvals = _counting(np.linalg.eigvals)
-    monkeypatch.setattr(netsirs.sweep, "spectral_abscissa", counted)
+    monkeypatch.setattr(netsirs.stability, "spectral_abscissa", counted)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     rows, failures = run_sweep(helpers.ref5(), -0.25, 1.0, 21)
     supercritical = sum(row.endemic_norm > 0.0 for row in rows)
     assert failures == 5
     assert 0 < supercritical < len(rows) - failures
     assert counted.calls == eigvals.calls == supercritical
+
+
+@pytest.mark.parametrize("grid", [(0.05, 1.5, 30), (-0.5, 2.0, 41), (1e300, 1e307, 2)])
+def test_sweep_warns_where_stability_gives_no_verdict(tmp_path, capsys, grid):
+    """A sweep row warns exactly when stability on the model rescaled to
+    that row is not decisive: it fails, its DFE verdict is Inconclusive
+    (near threshold) or its endemic verdict is not Stable. stability
+    exits non-zero on every model whose row failed."""
+    model = load_model(FIVE_NODE)
+    rows, warnings = run_sweep(model, *grid)
+    undecided = 0
+    for row in rows:
+        path, out = tmp_path / "model.json", tmp_path / "stability.json"
+        with np.errstate(over="ignore"):
+            W = row.scale * model.W
+        path.write_text(json.dumps({"n": model.n, "W": W.tolist(), "gamma": model.gamma.tolist(),
+                                    "delta": model.delta.tolist()}))
+        out.unlink(missing_ok=True)
+        code = netsirs.cli.main(["stability", "--model", str(path), "--out", str(out)])
+        capsys.readouterr()
+        if row.error is not None:
+            assert code != 0, row
+            undecided += 1
+            continue
+        assert code == 0, row
+        report = json.loads(out.read_text())
+        endemic = report["endemic"] or {}
+        undecided += report["dfe"]["verdict"] == INCONCLUSIVE
+        undecided += endemic.get("verdict", STABLE) != STABLE
+    assert warnings == undecided
 
 
 @pytest.mark.parametrize("row_sum, calls", [(0.8, 0), (2.0, 1)])
@@ -678,15 +710,24 @@ def test_cli_reads_negative_float_as_value(tmp_path, capsys):
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+_SIMULATE_FLAG_ERRORS = [
+    (["--random", "2", "--seed", "-5"], "--seed must be at least 0, got -5"),
+    (["--random", "-1"], "--random must be at least 0, got -1"),
+    (["--random", "2", "--init", FIVE_NODE], "pass exactly one of --init PATH or --random K"),
+    ([], "pass exactly one of --init PATH or --random K"),
+]
+
+
 def test_cli_rejects_negative_seed_before_any_work(tmp_path, capsys, monkeypatch):
+    # simulate judges each of its flags before it reads the model
     loads = _counting(load_model)
     monkeypatch.setattr(netsirs.cli, "load_model", loads)
     out = tmp_path / "out"
-    assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "2", "--seed", "-5",
-                             "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: ModelInputError: --seed must be at least 0, got -5\n"
+    for flags, message in _SIMULATE_FLAG_ERRORS:
+        assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ModelInputError: {message}\n"
     assert loads.calls == 0
     assert list(tmp_path.iterdir()) == []
 
