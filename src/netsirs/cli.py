@@ -96,14 +96,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ModelInputError(f"--random must be at least 0, got {args.random}")
     if (args.init is None) == (args.random == 0):
         raise ModelInputError("pass exactly one of --init PATH or --random K")
+    config = IntegratorConfig(dt=args.dt, t_end=args.t_end,
+                              record_every=args.record_every)
     model = load_model(args.model)
     if args.init is not None:
         starts = [load_initial(args.init)]
     else:
         rng = np.random.default_rng(args.seed)
         starts = sample_initial_states(model.n, args.random, rng)
-    config = IntegratorConfig(dt=args.dt, t_end=args.t_end,
-                              record_every=args.record_every)
     spectral = reproduction_number(model)[1] if args.lyapunov else None
     for index, (y0, z0) in enumerate(starts):
         trajectory = simulate(model, y0, z0, config)

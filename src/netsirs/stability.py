@@ -161,23 +161,23 @@ def eta_bound(model: ModelInstance, y_star: np.ndarray) -> float:
 LAMBDA_RANDOM_SAMPLES = 20
 
 
-def default_lambda_samples(eta: float, seed: int = 0) -> list[complex]:
+def default_lambda_samples(eta: float) -> list[complex]:
     """Shift samples covering the half-plane Re(lam) > -eta.
 
     The fixed part probes the boundary (-eta + inset), the origin, and
     magnitudes 0.01 through 100 along the real and imaginary axes; the
-    random part draws uniformly from [-eta + inset, 10] x [-10i, 10i].
-    The inset 1e-6 max(1, eta) grows with eta, so in a short time unit,
-    where eta = min delta can be large, the boundary shift stays clear
-    of the poles -delta_i by more than gershgorin_certificate's relative
-    pole test.
+    random part draws uniformly from [-eta + inset, 10] x [-10i, 10i]
+    with default_rng(0), so the samples depend on eta alone. The inset
+    1e-6 max(1, eta) grows with eta, so in a short time unit, where eta =
+    min delta can be large, the boundary shift stays clear of the poles
+    -delta_i by more than gershgorin_certificate's relative pole test.
     """
     edge = -eta + 1e-6 * max(1.0, eta)
     samples: list[complex] = [complex(edge), 0j]
     for k in range(-2, 3):
         mag = 10.0 ** k
         samples += [complex(0.0, mag), complex(0.0, -mag), complex(mag)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     re = rng.uniform(edge, 10.0, LAMBDA_RANDOM_SAMPLES)
     im = rng.uniform(-10.0, 10.0, LAMBDA_RANDOM_SAMPLES)
     samples += [complex(a, b) for a, b in zip(re, im)]

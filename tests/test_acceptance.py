@@ -177,7 +177,7 @@ def test_acceptance_07_gershgorin_margin_floor():
         wy = m.W @ y
         mk = wy * y
         m_star = float(mk.min())
-        lams = default_lambda_samples(eta, seed=0)
+        lams = default_lambda_samples(eta)
         assert lams == _absolute_inset_samples(eta, seed=0)
         samples = gershgorin_certificate(m, y, lams)
         total += len(samples)

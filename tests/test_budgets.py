@@ -1,8 +1,8 @@
 """Cost budgets: exact work counts that result objects already carry, on
-the seed-1 inputs of the trajectories and analyses benchmark workloads
-(perfbench/gen.py). Wall time on a shared host moves more than any bound
-worth setting, while these counts move only when the program does. A
-change that raises a count raises its budget here and says why."""
+the seed-1 inputs of the trajectories, analyses and sweep_n200 benchmark
+workloads (perfbench/gen.py). Wall time on a shared host moves more than
+any bound worth setting, while these counts move only when the program
+does. A change that raises a count raises its budget here and says why."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import netsirs.equilibrium
+import netsirs.sweep
 from netsirs import (
     EndemicEquilibrium,
     IntegratorConfig,
@@ -20,6 +21,7 @@ from netsirs import (
     load_initial,
     load_model,
     reproduction_number,
+    run_sweep,
     simulate,
     solve_endemic,
 )
@@ -38,6 +40,14 @@ BUDGETS = {
 }
 # one dense eigensolve per certificate, one certificate per endemic model
 EIGENSOLVES = 75
+# the same counts over the benchmark's sweep of the sweep_n200 model,
+# run_sweep(model, 0.05, 1.5, 30), which warns on none of its rows
+SWEEP_BUDGETS = {
+    "DFE bracket solves": 189,
+    "equilibrium iterations": 948,
+    "Newton-Fourier steps": 8,
+}
+SWEEP_EIGENSOLVES = 24  # one a supercritical row
 
 
 def _load_gen():
@@ -47,8 +57,17 @@ def _load_gen():
     return module
 
 
-def _counting(fn, calls):
-    return lambda *args: calls.append(1) or fn(*args)
+def _recording(fn, results):
+    """fn, appending the result of each call to results."""
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+    return wrapper
+
+
+def _over(counts, budgets):
+    return {name: (count, budgets[name]) for name, count in counts.items()
+            if count > budgets[name]}
 
 
 def test_benchmark_inputs_stay_within_their_cost_budgets(tmp_path, monkeypatch):
@@ -67,8 +86,8 @@ def test_benchmark_inputs_stay_within_their_cost_budgets(tmp_path, monkeypatch):
     manifest = gen.make_inputs("analyses", 1, inputs, FIVE_NODE)
     newton, eigensolves = [], []
     monkeypatch.setattr(netsirs.equilibrium, "_newton_fourier",
-                        _counting(netsirs.equilibrium._newton_fourier, newton))
-    monkeypatch.setattr(np.linalg, "eigvals", _counting(np.linalg.eigvals, eigensolves))
+                        _recording(netsirs.equilibrium._newton_fourier, newton))
+    monkeypatch.setattr(np.linalg, "eigvals", _recording(np.linalg.eigvals, eigensolves))
     for entry in manifest:
         model = load_model(str(inputs / entry["file"]))
         _, spectral = reproduction_number(model)
@@ -80,7 +99,24 @@ def test_benchmark_inputs_stay_within_their_cost_budgets(tmp_path, monkeypatch):
             endemic_certificate(model, solved.y_star)
     counts["Newton-Fourier steps"] = len(newton)
 
-    over = {name: (count, BUDGETS[name]) for name, count in counts.items()
-            if count > BUDGETS[name]}
-    assert not over, over
+    assert not _over(counts, BUDGETS), _over(counts, BUDGETS)
     assert len(eigensolves) == EIGENSOLVES
+
+    inputs = tmp_path / "sweep_n200"
+    manifest = gen.make_inputs("sweep_n200", 1, inputs, FIVE_NODE)
+    model = load_model(str(inputs / manifest[0]["file"]))
+    newton.clear()
+    eigensolves.clear()
+    brackets, solves = [], []
+    monkeypatch.setattr(netsirs.sweep, "dfe_abscissa", _recording(dfe_abscissa, brackets))
+    monkeypatch.setattr(netsirs.sweep, "solve_endemic", _recording(solve_endemic, solves))
+    _, warnings = run_sweep(model, 0.05, 1.5, 30)
+    counts = {
+        "DFE bracket solves": sum(b.iterations for b in brackets),
+        "equilibrium iterations": sum(s.iterations for s in solves
+                                      if isinstance(s, EndemicEquilibrium)),
+        "Newton-Fourier steps": len(newton),
+    }
+    assert not _over(counts, SWEEP_BUDGETS), _over(counts, SWEEP_BUDGETS)
+    assert len(eigensolves) == SWEEP_EIGENSOLVES
+    assert warnings == 0

@@ -715,6 +715,10 @@ _SIMULATE_FLAG_ERRORS = [
     (["--random", "-1"], "--random must be at least 0, got -1"),
     (["--random", "2", "--init", FIVE_NODE], "pass exactly one of --init PATH or --random K"),
     ([], "pass exactly one of --init PATH or --random K"),
+    (["--random", "2", "--record-every", "0"], "record_every must be a positive integer, got 0"),
+    (["--random", "2", "--dt", "0.06", "--t-end", "0.1"],
+     "t_end = 0.1 is not a whole number of steps of dt = 0.06 (t_end / dt = 1.66666666667)"),
+    (["--init", "missing.json", "--dt", "-1"], "dt must be positive and finite"),
 ]
 
 
