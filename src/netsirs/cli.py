@@ -33,18 +33,39 @@ from .stability import jacobian_dfe, spectral_abscissa  # noqa: F401  (perfbench
 from .sweep import run_sweep
 
 
-def _vec(v: np.ndarray) -> str:
-    return "[" + ", ".join(format(float(x), ".12g") for x in v) + "]"
+def _vec(v: list) -> str:
+    return "[" + ", ".join(format(x, ".12g") for x in v) + "]"
+
+
+def _text(r0: float, record: dict) -> str:
+    """R0 = %.6f, then one "key: value" line per entry of record: vectors
+    through _vec, counts as integers, other numbers as %.3e."""
+    lines = [f"R0 = {r0:.6f}"]
+    for key, value in record.items():
+        spec = "d" if isinstance(value, int) else ".3e"
+        lines.append(f"{key}: {_vec(value) if isinstance(value, list) else format(value, spec)}")
+    return "\n".join(lines)
+
+
+def _point(solved: EndemicEquilibrium) -> dict:
+    return {key: getattr(solved, key).tolist() for key in ("y_star", "z_star", "x_star")}
+
+
+def _save(path: str | None, report: dict) -> str:
+    """The report as indented JSON, written to path when one is given. The
+    caller prints only after, so a failed write leaves stdout empty."""
+    text = json.dumps(report, indent=2)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 def cmd_r0(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     r0, spectral = reproduction_number(model, tol=args.tol)
-    print(f"R0 = {r0:.6f}")
-    print(f"iterations: {spectral.iterations}")
-    print(f"residual: {spectral.residual:.3e}")
-    print(f"v_right: {_vec(spectral.v_right)}")
-    print(f"v_left: {_vec(spectral.v_left)}")
+    print(_text(r0, {"iterations": spectral.iterations, "residual": spectral.residual,
+                     "v_right": spectral.v_right.tolist(), "v_left": spectral.v_left.tolist()}))
     return 0
 
 
@@ -53,33 +74,17 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     r0, spectral = reproduction_number(model)
     solved = solve_endemic(model, tol=args.tol, spectral=spectral)
     if isinstance(solved, EndemicEquilibrium):
-        lines = [f"R0 = {r0:.6f}",
-                 f"y_star: {_vec(solved.y_star)}",
-                 f"z_star: {_vec(solved.z_star)}",
-                 f"x_star: {_vec(solved.x_star)}",
-                 f"iterations: {solved.iterations}",
-                 f"residual: {solved.residual:.3e}",
-                 f"bracket_gap: {solved.bracket_gap:.3e}"]
-        report = {
-            "r0": r0,
-            "y_star": solved.y_star.tolist(),
-            "z_star": solved.z_star.tolist(),
-            "x_star": solved.x_star.tolist(),
-            "iterations": solved.iterations,
-            "residual": solved.residual,
-            "bracket_gap": solved.bracket_gap,
-        }
+        record = {**_point(solved), "iterations": solved.iterations,
+                  "residual": solved.residual, "bracket_gap": solved.bracket_gap}
+        report, text = {"r0": r0, **record}, _text(r0, record)
     else:
         tail = " [near threshold]" if solved.near_threshold else ""
-        lines = [f"NoEndemic (R0 = {solved.r0:.6f}){tail}"]
-        report = {"r0": solved.r0, "no_endemic": True,
-                  "near_threshold": solved.near_threshold}
-    # the file first, so a failed write leaves stdout empty
+        text = f"NoEndemic (R0 = {solved.r0:.6f}){tail}"
+        report = {"r0": solved.r0, "no_endemic": True, "near_threshold": solved.near_threshold}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
-        lines.append(f"wrote {args.out}")
-    print("\n".join(lines))
+        _save(args.out, report)
+        text += f"\nwrote {args.out}"
+    print(text)
     return 0
 
 
@@ -119,21 +124,15 @@ def cmd_stability(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     r0, spectral = reproduction_number(model)
     dfe = {"abscissa": dfe_abscissa(model).abscissa, "verdict": STABLE}
-    report = {
-        "r0": r0,
-        "spectral": {"lambda": spectral.lam, "iterations": spectral.iterations,
-                     "residual": spectral.residual},
-        "dfe": dfe,
-        "endemic": None,
-    }
+    report = {"r0": r0, "spectral": {"lambda": spectral.lam, "iterations": spectral.iterations,
+                                     "residual": spectral.residual},
+              "dfe": dfe, "endemic": None}
     solved = solve_endemic(model, tol=args.tol, spectral=spectral)
     if isinstance(solved, EndemicEquilibrium):
         dfe["verdict"] = UNSTABLE
         certificate = endemic_certificate(model, solved.y_star, tol=args.tol)
         report["endemic"] = {
-            "y_star": solved.y_star.tolist(),
-            "z_star": solved.z_star.tolist(),
-            "x_star": solved.x_star.tolist(),
+            **_point(solved),
             "eta": certificate.eta,
             "abscissa": certificate.spectral_abscissa,
             "gershgorin": [
@@ -148,11 +147,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     elif solved.near_threshold:
         dfe.update(verdict=INCONCLUSIVE, reason="near threshold")
         report["endemic"] = {"no_endemic": True, "near_threshold": True}
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(_save(args.out, report))
     return 0
 
 

@@ -116,7 +116,8 @@ def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float
     M = model.M
     v_right, lower, upper, right = perron_bracket(M, tol)
     v_left, _, _, left = perron_bracket(M.T, tol, known=(lower, upper))
-    lam = float(v_left @ (M @ v_right) / (v_left @ v_right))
-    residual = float(np.max(np.abs(M @ v_right - lam * v_right)))
+    image = M @ v_right
+    lam = float(v_left @ image / (v_left @ v_right))
+    residual = float(np.max(np.abs(image - lam * v_right)))
     return lam, SpectralResult(lam=lam, v_right=v_right, v_left=v_left,
                                iterations=right + left, residual=residual)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,14 +43,17 @@ def run_sweep(
     failed, recorded as NaN with their error, and rows written as computed
     whose scaled model lies near the threshold (NoEndemic.near_threshold)
     or whose endemic_certificate verdict is not Stable, the verdict the
-    stability command reports. steps below 1, a non-finite scale bound or
-    a tol that is not positive and finite raises ModelInputError before
-    the first row. The Perron pair of the model is solved once: rho(sM) =
-    s rho(M) and the eigenvectors do not move, so every row reuses it
-    scaled by s. An error of that one solve is not a row failure and
-    propagates to the caller. The DFE abscissa comes from dfe_abscissa,
-    with no eigensolve; only the certificate takes a dense one.
+    stability command reports. A steps that is a bool, not an integer or
+    below 1, a non-finite scale bound or a tol that is not positive and
+    finite raises ModelInputError before the first row. The
+    Perron pair of the model is solved once: rho(sM) = s rho(M) and the
+    eigenvectors do not move, so every row reuses it scaled by s. An error
+    of that one solve is not a row failure and propagates to the caller.
+    The DFE abscissa comes from dfe_abscissa, with no eigensolve; only the
+    certificate takes a dense one.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ModelInputError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ModelInputError(f"steps must be at least 1, got {steps}")
     if not np.all(np.isfinite((scale_min, scale_max))):

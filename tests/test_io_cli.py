@@ -64,6 +64,7 @@ def _write_ref5(path, **fields) -> str:
 
 
 FIVE_NODE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "five_node.json")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 # fields that load_model must reject with ModelInputError
 _BAD_MODEL_FIELDS = ({"n": None}, {"name": 42}, {"n": 2.7}, {"n": True})
@@ -84,16 +85,20 @@ def _counting(fn):
     return counted
 
 
-def _cli(*argv, env=None):
+def _child_env(**extra) -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH, so a child
+    process imports the netsirs under test, installed or not."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _cli(*argv):
     # numpy warnings fail the command as they fail in-process tests
-    full_env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
-    if env:
-        full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "netsirs.cli", *argv],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=_child_env(PYTHONWARNINGS="error::RuntimeWarning"),
     )
 
 
@@ -886,6 +891,52 @@ def test_cli_equilibrium_solves_r0_once(tmp_path, monkeypatch, capsys):
     assert out.read_text() == _REF5_EQUILIBRIUM_JSON
 
 
+def _equilibrium_agreement_models(tmp_path) -> list[str]:
+    """The log-uniform family at d = 4, then five_node rescaled to R0 =
+    0.5 (below the threshold) and to 1 + 1e-10 and 1 + 1e-6 (near it, on
+    either side of R0_TOL)."""
+    models = [validate_model(*draw) for draw in helpers.log_uniform_family(4)]
+    five_node = load_model(FIVE_NODE)
+    r0, _ = reproduction_number(five_node)
+    models += [validate_model(five_node.W * (target / r0), five_node.gamma, five_node.delta)
+               for target in (0.5, 1.0 + 1e-10, 1.0 + 1e-6)]
+    paths = [str(tmp_path / f"model_{index:02d}.json") for index in range(len(models))]
+    for model, path in zip(models, paths):
+        helpers.save_model(model, path)
+    return paths
+
+
+def test_cli_equilibrium_stdout_and_json_agree(tmp_path, capsys):
+    """equilibrium's stdout states its --out JSON: after R0 = %.6f, one
+    key: value line per JSON key after r0, in order, each value formatted
+    as README.md states; NoEndemic models print the one NoEndemic line."""
+    out = tmp_path / "eq.json"
+    branches = set()
+    for path in _equilibrium_agreement_models(tmp_path):
+        assert netsirs.cli.main(["equilibrium", "--model", path, "--out", str(out)]) == 0
+        *lines, wrote = capsys.readouterr().out.splitlines()
+        assert wrote == f"wrote {out}"
+        data = json.loads(out.read_text())
+        if data.get("no_endemic"):
+            branches.add("near" if data["near_threshold"] else "below")
+            assert list(data) == ["r0", "no_endemic", "near_threshold"]
+            tail = " [near threshold]" if data["near_threshold"] else ""
+            assert lines == [f"NoEndemic (R0 = {data['r0']:.6f}){tail}"]
+            continue
+        branches.add("endemic")
+        expected = [f"R0 = {data.pop('r0'):.6f}"]
+        for key, value in data.items():
+            if isinstance(value, list):
+                value = "[" + ", ".join(format(v, ".12g") for v in value) + "]"
+            elif isinstance(value, float):
+                value = format(value, ".3e")
+            expected.append(f"{key}: {value}")
+        assert lines == expected
+        assert list(data) == ["y_star", "z_star", "x_star", "iterations", "residual",
+                              "bracket_gap"]
+    assert branches == {"endemic", "below", "near"}
+
+
 def test_cli_equilibrium_subcritical(tmp_path):
     sub = helpers.out_regular(n=3, row_sum=0.8)
     path = tmp_path / "sub.json"
@@ -1114,6 +1165,18 @@ def test_cli_sweep_rejects_non_finite_scale(tmp_path, capsys, bounds):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
+def test_run_sweep_rejects_a_steps_that_is_not_an_integer(monkeypatch, steps):
+    # judged as IntegratorConfig judges record_every, before the Perron solve
+    solves = _counting(reproduction_number)
+    monkeypatch.setattr(netsirs.sweep, "reproduction_number", solves)
+    model = load_model(FIVE_NODE)
+    with pytest.raises(ModelInputError, match="^steps must be an integer, got "):
+        run_sweep(model, 0.5, 1.5, steps)
+    assert solves.calls == 0
+    assert len(run_sweep(model, 0.5, 1.5, np.int64(2))[0]) == 2
+
+
 # JSON entries that numpy would coerce to numbers: (model fields,
 # initial-condition file or None for --random 1)
 _NON_NUMBER_JSON = {
@@ -1210,7 +1273,8 @@ def test_runtime_imports_no_test_only_package():
     """The library and its CLI run on numpy alone."""
     code = ("import sys, netsirs, netsirs.cli; print(' '.join(name for name in "
             "('scipy', 'hypothesis', 'mpmath', 'pytest') if name in sys.modules))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_child_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout == "\n"
 
