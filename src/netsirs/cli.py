@@ -97,9 +97,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # every flag is judged before any work; numpy's message on a seed names no flag
     if args.seed < 0:
         raise ModelInputError(f"--seed must be at least 0, got {args.seed}")
-    if args.random < 0:
-        raise ModelInputError(f"--random must be at least 0, got {args.random}")
-    if (args.init is None) == (args.random == 0):
+    if args.random is not None and args.random < 1:
+        raise ModelInputError(f"--random must be at least 1, got {args.random}")
+    if (args.init is None) == (args.random is None):
         raise ModelInputError("pass exactly one of --init PATH or --random K")
     config = IntegratorConfig(dt=args.dt, t_end=args.t_end,
                               record_every=args.record_every)
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate trajectories to CSV")
     common(p, tol=None)
     p.add_argument("--init", help="initial-condition JSON file")
-    p.add_argument("--random", type=int, default=0, metavar="K",
+    p.add_argument("--random", type=int, metavar="K",
                    help="draw K random initial conditions instead of --init")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=float, default=0.01)

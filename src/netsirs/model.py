@@ -4,8 +4,8 @@ A model couples n populations through a nonnegative interaction matrix W,
 where W[i, j] is the rate at which infected individuals of population j
 expose susceptibles of population i. Population i recovers at rate
 gamma[i] > 0 and loses immunity at rate delta[i] > 0. Infection must be
-able to travel between any two populations, so the support digraph of W
-(an edge i -> j wherever W[i, j] > 0) has to be strongly connected.
+able to travel from every population to every population, itself
+included, so W has to be irreducible (check_irreducible).
 
 Each population splits into susceptible, infected and recovered fractions
 (x_i, y_i, z_i) that sum to one; the library takes a state as y and z.
@@ -67,10 +67,10 @@ class ModelInstance:
 
 
 def _reached_from_first(support: np.ndarray) -> np.ndarray:
-    """Nodes that node 0 reaches in the digraph with an edge i -> j wherever
-    support[i, j], found one breadth-first level at a time."""
-    seen = np.arange(support.shape[0]) == 0
-    frontier = seen
+    """Nodes that node 0 reaches by a path of at least one edge in the
+    digraph with an edge i -> j wherever support[i, j], found one
+    breadth-first level at a time."""
+    seen = frontier = support[0]
     while frontier.any():
         frontier = support[frontier].any(axis=0) & ~seen
         seen = seen | frontier
@@ -78,15 +78,9 @@ def _reached_from_first(support: np.ndarray) -> np.ndarray:
 
 
 def check_irreducible(W: np.ndarray) -> bool:
-    """True iff the support digraph of W is strongly connected.
-
-    A digraph is strongly connected exactly when node 0 reaches every node
-    both in it and in its reverse, so two breadth-first sweeps decide it.
-    A 1x1 matrix is a single trivial component, so this returns True even
-    for a zero entry. validate_model applies the stricter single-population
-    rule that W[0, 0] > 0 is required, because a lone population with no
-    self-exposure has no infection channel at all. An empty matrix has no
-    component and gives False.
+    """True iff W is irreducible: node 0 reaches every node, itself
+    included, by a path of at least one edge both in the support digraph
+    of W and in its reverse. So [[0.0]] and the empty matrix give False.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -114,8 +108,7 @@ def validate_model(
     NonPositiveRateError
         Some gamma[i] <= 0 or delta[i] <= 0.
     ReducibleError
-        The support digraph is not strongly connected, or n == 1 with
-        W[0, 0] == 0.
+        W is not irreducible (check_irreducible).
     ModelInputError
         Some entry is not finite, or M = W / gamma or alpha = gamma / delta
         overflows. A finite alpha keeps ybar = 1 / (1 + alpha) positive.
@@ -139,11 +132,7 @@ def validate_model(
         raise NonPositiveRateError(f"gamma[{int(np.argmin(gamma))}] must be positive")
     if np.any(delta <= 0.0):
         raise NonPositiveRateError(f"delta[{int(np.argmin(delta))}] must be positive")
-    if n == 1:
-        # self-loops are the only channel a single population has
-        if W[0, 0] <= 0.0:
-            raise ReducibleError("a single population needs W[0, 0] > 0")
-    elif not check_irreducible(W):
+    if not check_irreducible(W):
         raise ReducibleError("the support digraph of W is not strongly connected")
 
     with np.errstate(over="ignore"):

@@ -70,8 +70,9 @@ class StabilityCertificate:
 
 def jacobian_dfe(model: ModelInstance) -> np.ndarray:
     """Reduced Jacobian [[W - [gamma], 0], [[gamma], -[delta]]] at the
-    infection-free state, jacobian_endemic at y* = 0. Kept for tests and
-    oracles; dfe_abscissa gives its abscissa without forming it."""
+    infection-free state, jacobian_endemic at y* = 0. Kept for tests,
+    oracles and the stability.jacobian span of perfbench/spans.py;
+    dfe_abscissa gives its abscissa without forming it."""
     return jacobian_endemic(model, np.zeros(model.n))
 
 

@@ -28,13 +28,14 @@ from netsirs import SingularShiftError
 
 
 def reachability_strongly_connected(W: np.ndarray) -> bool:
-    """Strong connectivity by transitive closure with boolean powers."""
+    """Irreducibility by transitive closure with boolean powers: every node
+    reaches every node, itself included, by a path of at least one edge."""
     A = np.asarray(W) > 0
     n = A.shape[0]
-    R = A | np.eye(n, dtype=bool)
+    R = A
     for _ in range(n):
         R = R | (R @ R)
-    return bool(np.all(R & R.T))
+    return bool(n > 0 and R.all())
 
 
 def cofactor_det(A: np.ndarray) -> float:

@@ -57,7 +57,7 @@ def test_stop_rule_finds_every_cycle_within_brents_bound():
     # bytes like the loops pass; the first repeat is at count mu + p
     for period in range(1, 8):
         for entry in range(41):
-            states = [(k if k < entry else entry + (k - entry) % period).to_bytes(8)
+            states = [(k if k < entry else entry + (k - entry) % period).to_bytes(8, "big")
                       for k in range(2 * max(entry, period) + period + 1)]
             call = _first_flag(states)
             assert call is not None, (entry, period)
@@ -65,8 +65,8 @@ def test_stop_rule_finds_every_cycle_within_brents_bound():
 
 
 def test_stop_rule_never_flags_distinct_states():
-    assert _first_flag(k.to_bytes(8) for k in range(100_000)) is None
-    assert _first_flag((k.to_bytes(8), k % 2 == 0) for k in range(10_000)) is None
+    assert _first_flag(k.to_bytes(8, "big") for k in range(100_000)) is None
+    assert _first_flag((k.to_bytes(8, "big"), k % 2 == 0) for k in range(10_000)) is None
 
 
 def test_stop_rule_closes_at_tol_and_raises_at_the_cap():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -628,6 +629,75 @@ def test_cli_rejects_bad_tol(tmp_path, capsys, command, tol):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, functions", [
+    ("r0", [reproduction_number]),
+    ("equilibrium", [solve_endemic]),
+    ("stability", [solve_endemic, endemic_certificate]),
+    ("sweep", [run_sweep]),
+])
+def test_cli_tol_defaults_to_the_library_default(command, functions):
+    argv = [command, "--model", FIVE_NODE, *_SUBCOMMAND_ARGS[command]]
+    if command == "sweep":
+        argv += ["--out", "sweep.csv"]
+    tol = netsirs.cli.build_parser().parse_args(argv).tol
+    for function in functions:
+        assert tol == inspect.signature(function).parameters["tol"].default
+
+
+def _single_population(tmp_path, w: float) -> str:
+    path = tmp_path / f"single_{w}.json"
+    path.write_text(json.dumps({"n": 1, "W": [[w]], "gamma": [0.5], "delta": [0.25]}))
+    return str(path)
+
+
+def test_cli_single_population_through_every_command(tmp_path, capsys):
+    """The homogeneous SIRS model: R0 = W / gamma = 4, alpha = 2,
+    y* = (1 - 1/R0) / (1 + alpha), z* = alpha y* and x* = 1 / R0. The
+    endemic Jacobian is 2x2 with eigenvalues of real part -0.375."""
+    model = _single_population(tmp_path, 2.0)
+    y, z, x = 0.25, 0.5, 0.25
+    assert netsirs.cli.main(["r0", "--model", model]) == 0
+    assert capsys.readouterr().out.startswith("R0 = 4.000000\n")
+
+    report = tmp_path / "equilibrium.json"
+    assert netsirs.cli.main(["equilibrium", "--model", model, "--out", str(report)]) == 0
+    capsys.readouterr()
+    point = json.loads(report.read_text())
+    for key, value in (("y_star", y), ("z_star", z), ("x_star", x)):
+        assert point[key] == [pytest.approx(value, abs=1e-12)]
+
+    assert netsirs.cli.main(["stability", "--model", model]) == 0
+    stability = json.loads(capsys.readouterr().out)
+    assert stability["dfe"]["verdict"] == "Unstable"
+    assert stability["endemic"]["verdict"] == "Stable"
+    assert stability["endemic"]["abscissa"] == pytest.approx(-0.375, abs=1e-12)
+
+    sweep = tmp_path / "sweep.csv"
+    assert netsirs.cli.main(["sweep", "--model", model, "--scale-min", "0", "--scale-max", "1",
+                             "--steps", "5", "--out", str(sweep)]) == 0
+    assert capsys.readouterr().out == f"wrote {sweep} (5 rows, 2 warnings)\n"
+
+    run = tmp_path / "run.csv"
+    assert netsirs.cli.main(["simulate", "--model", model, "--random", "1", "--t-end", "200",
+                             "--out", str(run)]) == 0
+    capsys.readouterr()
+    t_end, y_end, z_end, x_end = map(float, run.read_text().splitlines()[-1].split(","))
+    assert t_end == 200.0
+    assert abs(y_end - y) < 1e-6 and abs(z_end - z) < 1e-6 and abs(x_end - x) < 1e-6
+
+
+@pytest.mark.parametrize("command", sorted([*_SUBCOMMAND_ARGS, "simulate"]))
+def test_cli_single_population_without_self_loop_is_reducible(tmp_path, capsys, command):
+    extra = {**_SUBCOMMAND_ARGS, "simulate": ["--random", "1"]}[command]
+    argv = [command, "--model", _single_population(tmp_path, 0.0), *extra]
+    if command in ("simulate", "sweep"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert netsirs.cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ReducibleError: ")
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_library_rejects_bad_tol(tol):
     m = helpers.ref5()
@@ -717,7 +787,9 @@ def test_cli_reads_negative_float_as_value(tmp_path, capsys):
 
 _SIMULATE_FLAG_ERRORS = [
     (["--random", "2", "--seed", "-5"], "--seed must be at least 0, got -5"),
-    (["--random", "-1"], "--random must be at least 0, got -1"),
+    (["--random", "-1"], "--random must be at least 1, got -1"),
+    (["--random", "0"], "--random must be at least 1, got 0"),
+    (["--random", "0", "--init", FIVE_NODE], "--random must be at least 1, got 0"),
     (["--random", "2", "--init", FIVE_NODE], "pass exactly one of --init PATH or --random K"),
     ([], "pass exactly one of --init PATH or --random K"),
     (["--random", "2", "--record-every", "0"], "record_every must be a positive integer, got 0"),
@@ -769,7 +841,7 @@ def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
 def test_cli_simulate_rejects_negative_random(tmp_path, capsys):
     assert netsirs.cli.main(["simulate", "--model", FIVE_NODE, "--random", "-3",
                              "--out", str(tmp_path / "run.csv")]) == 1
-    assert capsys.readouterr().err == "error: ModelInputError: --random must be at least 0, got -3\n"
+    assert capsys.readouterr().err == "error: ModelInputError: --random must be at least 1, got -3\n"
     assert list(tmp_path.iterdir()) == []
 
 

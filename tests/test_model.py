@@ -88,13 +88,9 @@ def test_model_arrays_are_read_only(ref5):
 
 
 def test_irreducible_convention_on_trivial_graph():
-    """A single node with no self-loop passes the structural check.
-
-    validate_model is stricter and rejects it, but the pure graph
-    predicate treats the one-node digraph as trivially strongly
-    connected.
-    """
-    assert check_irreducible(np.array([[0.0]]))
+    """A single node is irreducible only with a self-loop (Horn & Johnson,
+    Matrix Analysis, Def. 6.2.21), the rule validate_model applies too."""
+    assert not check_irreducible(np.array([[0.0]]))
     assert check_irreducible(np.array([[1.0]]))
     # the empty digraph has no component at all
     assert not check_irreducible(np.zeros((0, 0)))
@@ -135,10 +131,23 @@ def _random_digraphs(draw):
 
 
 @given(_random_digraphs())
-@example(np.array([[0.0]]))  # the 1x1 convention: trivially strongly connected
+@example(np.array([[0.0]]))  # a lone node without a self-loop is reducible
 @example(np.array([[2.0]]))
 def test_irreducible_matches_reachability_oracle_property(W):
     assert check_irreducible(W) == oracles.reachability_strongly_connected(W)
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=n * n, max_size=n * n)
+    .map(lambda entries: np.array(entries).reshape(n, n))))
+@example(np.array([[0.0]]))
+def test_validate_rejects_exactly_what_check_irreducible_rejects(W):
+    ones = np.ones(W.shape[0])
+    if check_irreducible(W):
+        validate_model(W, ones, ones)
+    else:
+        with pytest.raises(ReducibleError):
+            validate_model(W, ones, ones)
 
 
 @given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.permutations(range(n)),
