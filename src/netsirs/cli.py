@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .equilibrium import EndemicEquilibrium, solve_endemic
-from .errors import ModelInputError, NumericalError
+from .errors import ModelInputError, NumericalError, check_count
 from .dynamics import IntegratorConfig, simulate
 from .io import (
     load_initial,
@@ -95,10 +95,9 @@ def _suffixed(path: str, index: int) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # every flag is judged before any work; numpy's message on a seed names no flag
-    if args.seed < 0:
-        raise ModelInputError(f"--seed must be at least 0, got {args.seed}")
-    if args.random is not None and args.random < 1:
-        raise ModelInputError(f"--random must be at least 1, got {args.random}")
+    check_count(args.seed, "--seed", least=0)
+    if args.random is not None:
+        check_count(args.random, "--random")
     if (args.init is None) == (args.random is None):
         raise ModelInputError("pass exactly one of --init PATH or --random K")
     config = IntegratorConfig(dt=args.dt, t_end=args.t_end,

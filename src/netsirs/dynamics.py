@@ -17,12 +17,12 @@ the model.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInitialError, ModelInputError, SimplexViolationError
+from .errors import (InvalidInitialError, ModelInputError, SimplexViolationError,
+                     check_count, check_positive)
 from .model import ModelInstance
 
 SIMPLEX_VIOLATION_TOL = 1e-6
@@ -45,8 +45,7 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt < math.inf:
-            raise ModelInputError("dt must be positive and finite")
+        check_positive(self.dt, "dt")
         if not self.dt <= self.t_end < math.inf:
             raise ModelInputError("t_end must be finite and cover at least one step")
         steps = self.t_end / self.dt
@@ -55,9 +54,7 @@ class IntegratorConfig:
         if abs(steps - round(steps)) > STEP_COUNT_SLACK * steps:
             raise ModelInputError(f"t_end = {self.t_end:g} is not a whole number of "
                                   f"steps of dt = {self.dt:g} (t_end / dt = {steps:.12g})")
-        every = self.record_every
-        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
-            raise ModelInputError(f"record_every must be a positive integer, got {every!r}")
+        check_count(self.record_every, "record_every")
 
 
 def _block(k: int) -> property:

@@ -31,7 +31,7 @@ from .errors import (
     DimensionMismatchError,
     EpsilonStarNotFoundError,
     ModelInputError,
-    check_tol,
+    check_positive,
     stop_rule,
 )
 from .model import ModelInstance
@@ -115,7 +115,7 @@ def iterate_phi(
     ModelInputError, before the first step, when tol is not positive and
     finite or xi0 is not a finite vector of length n = M.shape[0].
     """
-    check_tol(tol)
+    check_positive(tol, "tol")
     xi = np.array(xi0, dtype=float)
     n = np.shape(M)[0]
     if xi.shape != (n,):
@@ -142,7 +142,7 @@ def x_star(model: ModelInstance, y: np.ndarray) -> np.ndarray:
 
 def _ray_bracket(model: ModelInstance, v: np.ndarray) -> np.ndarray:
     """The bracket's starting rows [u, l] on the ray of v > 0. With m = M v
-    and c = (m - v) / ((1 + alpha) m v), Phi(eps v) >= eps v exactly when
+    and c = (1 - v / m) / ((1 + alpha) v), Phi(eps v) >= eps v exactly when
     eps <= min c, and Phi(eps v) <= eps v exactly when eps >= max c. So
     l = 0.999 min(c) v is a sub-solution and u = min(1.001 max(c) v, ybar),
     the least of two super-solutions, is one; on the Perron vector both
@@ -152,7 +152,7 @@ def _ray_bracket(model: ModelInstance, v: np.ndarray) -> np.ndarray:
     was violated) raises EpsilonStarNotFoundError."""
     m = model.M @ v
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = (m - v) / ((1.0 + model.alpha) * m * v)
+        c = (1.0 - v / m) / ((1.0 + model.alpha) * v)
         Y = np.stack([np.minimum(1.001 * c.max() * v, model.ybar), 0.999 * c.min() * v])
         image = phi(Y, model.M, model.alpha)
     upper = (image[0] <= Y[0]) | (Y[0] == model.ybar)
@@ -239,7 +239,7 @@ def solve_endemic(
     by passing a precomputed SpectralResult for model.M. Raises
     ModelInputError when tol is not positive and finite, whatever R0 is.
     """
-    check_tol(tol)
+    check_positive(tol, "tol")
     if spectral is None:
         r0, spectral = reproduction_number(model)
     else:

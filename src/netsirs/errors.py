@@ -8,6 +8,7 @@ the first family to exit code 1 and the second to exit code 2.
 """
 
 import math
+import numbers
 
 
 class NetsirsError(Exception):
@@ -23,12 +24,19 @@ class NumericalError(NetsirsError):
     """A numerical procedure failed to deliver a trustworthy result."""
 
 
-def check_tol(tol: float) -> None:
-    """Raise ModelInputError unless the solver tolerance tol is positive
-    and finite; a NaN tolerance would silently pass or never pass every
-    convergence test it meets."""
-    if not 0.0 < tol < math.inf:
-        raise ModelInputError(f"tol must be positive and finite, got {tol}")
+def check_positive(value: float, name: str) -> None:
+    """Raise ModelInputError unless value is positive and finite; a NaN tol
+    or dt would silently pass or never pass every test it meets."""
+    if not 0.0 < value < math.inf:
+        raise ModelInputError(f"{name} must be positive and finite, got {value}")
+
+
+def check_count(value: int, name: str, least: int = 1) -> None:
+    """Raise ModelInputError unless value is an integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ModelInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ModelInputError(f"{name} must be at least {least}, got {value}")
 
 
 # --- input side ---------------------------------------------------------
@@ -47,7 +55,7 @@ class NonPositiveRateError(ModelInputError):
 
 
 class ReducibleError(ModelInputError):
-    """The support digraph of the interaction matrix is not strongly connected."""
+    """The interaction matrix W is not irreducible."""
 
 
 class InvalidInitialError(ModelInputError):

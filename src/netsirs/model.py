@@ -133,7 +133,7 @@ def validate_model(
     if np.any(delta <= 0.0):
         raise NonPositiveRateError(f"delta[{int(np.argmin(delta))}] must be positive")
     if not check_irreducible(W):
-        raise ReducibleError("the support digraph of W is not strongly connected")
+        raise ReducibleError("W is not irreducible")
 
     with np.errstate(over="ignore"):
         M = W / gamma[:, None]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, check_tol, stop_rule
+from .errors import NoConvergenceError, check_positive, stop_rule
 from .model import ModelInstance
 from .model import check_irreducible  # noqa: F401  (perfbench/spans.py wraps this name)
 
@@ -112,7 +112,7 @@ def reproduction_number(model: ModelInstance, tol: float = 1e-10) -> tuple[float
     nonnegative and irreducible, so no check is repeated. Raises
     ModelInputError when tol is not positive and finite.
     """
-    check_tol(tol)
+    check_positive(tol, "tol")
     M = model.M
     v_right, lower, upper, right = perron_bracket(M, tol)
     v_left, _, _, left = perron_bracket(M.T, tol, known=(lower, upper))

@@ -35,7 +35,7 @@ from .errors import (
     NonPositiveEquilibriumError,
     NotEquilibriumError,
     SingularShiftError,
-    check_tol,
+    check_positive,
 )
 from .model import ModelInstance
 from .spectral import SpectralResult, perron_bracket
@@ -126,7 +126,7 @@ def jacobian_endemic(
     NaN profile fails and the origin passes, and ModelInputError when tol
     is not positive and finite.
     """
-    check_tol(tol)
+    check_positive(tol, "tol")
     y = np.asarray(y_star, dtype=float)
     bound = 100.0 * tol
     defect = np.abs(y - phi(y, model.M, model.alpha))

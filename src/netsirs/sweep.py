@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .equilibrium import EndemicEquilibrium, solve_endemic
-from .errors import ModelInputError, NetsirsError, check_tol
+from .errors import ModelInputError, NetsirsError, check_count, check_positive
 from .model import ModelInstance, validate_model
 from .spectral import reproduction_number
 from .stability import STABLE, dfe_abscissa, endemic_certificate
@@ -52,13 +51,10 @@ def run_sweep(
     The DFE abscissa comes from dfe_abscissa, with no eigensolve; only the
     certificate takes a dense one.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ModelInputError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise ModelInputError(f"steps must be at least 1, got {steps}")
+    check_count(steps, "steps")
     if not np.all(np.isfinite((scale_min, scale_max))):
         raise ModelInputError(f"scale bounds must be finite, got {scale_min} and {scale_max}")
-    check_tol(tol)
+    check_positive(tol, "tol")
     _, base = reproduction_number(model)
     rows: list[SweepRow] = []
     warnings = 0

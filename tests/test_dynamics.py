@@ -21,6 +21,7 @@ from netsirs import (
     lyapunov_value,
     reproduction_number,
     rhs,
+    run_sweep,
     sample_initial_states,
     simulate,
     solve_endemic,
@@ -79,12 +80,14 @@ def test_config_rejects_non_finite_step_count(dt, t_end):
 @pytest.mark.parametrize("every", [2.5, 2.0, True, False, "2", None, -1])
 def test_config_rejects_non_integer_record_every(every):
     # int() used to truncate 2.5 to 2 and read True as 1
-    with pytest.raises(ModelInputError, match="record_every must be a positive integer"):
+    with pytest.raises(ModelInputError, match="^record_every must be (an integer|at least 1), got "):
         IntegratorConfig(dt=0.1, t_end=1.0, record_every=every)
 
 
-def test_config_accepts_numpy_integer_record_every():
+def test_config_accepts_numpy_integer_record_every(ref5):
+    # one count rule: a numpy integer passes wherever a count is judged
     assert IntegratorConfig(dt=0.1, t_end=1.0, record_every=np.int64(3)).record_every == 3
+    assert len(run_sweep(ref5, 0.5, 1.5, np.int64(3))[0]) == 3
 
 
 def test_simulate_rejects_bad_initials(out_regular3):

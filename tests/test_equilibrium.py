@@ -524,7 +524,7 @@ _STALLED = {
     "ref5, period 2": (None, 2, 22),
     "seed 35 n 3, period 1": ((35, 3), 1, 9),
     "seed 38 n 3, period 3": ((38, 3), 3, 19),
-    "seed 28 n 3, period 4": ((28, 3), 4, 14),
+    "seed 53 n 6, period 4": ((53, 6), 4, 13),
     "seed 1 n 6, period 7": ((1, 6), 7, 11),
 }
 

@@ -336,7 +336,7 @@ def test_sweep_rows_keep_their_error():
     errors = {row.scale: row.error for row in rows if row.error is not None}
     negative = [scale for scale, error in errors.items() if error.startswith("NegativeEntryError: ")]
     assert len(negative) == 8 and all(scale < 0.0 for scale in negative)
-    assert errors[0.0] == "ReducibleError: the support digraph of W is not strongly connected"
+    assert errors[0.0] == "ReducibleError: W is not irreducible"
     assert len(errors) == failures
     for row in rows:
         assert (row.error is None) == (row.scale > 0.0)
@@ -698,7 +698,30 @@ def test_cli_single_population_without_self_loop_is_reducible(tmp_path, capsys, 
     assert captured.err.startswith("error: ReducibleError: ")
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("command", ["equilibrium", "stability"])
+def test_cli_single_population_with_a_huge_alpha(tmp_path, command):
+    """R0 = 2.5e230 and alpha = 2.3e126. The Perron-ray start once formed
+    (1 + alpha) m v, which overflows here, though y* = 4.3e-127 is a
+    normal float. y* = (1 - 1/R0) / (1 + alpha), computed in mpmath."""
+    import mpmath
+
+    w, gamma, delta = 2.3354795224502257e266, 9.207426508410169e35, 3.968387517737502e-91
+    path = tmp_path / "huge_alpha.json"
+    path.write_text(json.dumps({"n": 1, "W": [[w]], "gamma": [gamma], "delta": [delta]}))
+    out = tmp_path / "report.json"
+    res = _cli(command, "--model", str(path), "--out", str(out))
+    assert (res.returncode, res.stderr) == (0, "")
+    report = json.loads(out.read_text())
+    y_star = report["y_star"] if command == "equilibrium" else report["endemic"]["y_star"]
+    with mpmath.workdps(50):
+        r0, alpha = mpmath.mpf(w) / mpmath.mpf(gamma), mpmath.mpf(gamma) / mpmath.mpf(delta)
+        exact = float((1 - 1 / r0) / (1 + alpha))
+    assert y_star == [pytest.approx(exact, rel=1e-12, abs=0.0)]
+    if command == "stability":
+        assert report["endemic"]["verdict"] == "Stable"
+
+
+@pytest.mark.parametrize("tol",[float("nan"), float("inf"), 0.0, -1.0])
 def test_library_rejects_bad_tol(tol):
     m = helpers.ref5()
     y = solve_endemic(m).y_star
@@ -792,10 +815,10 @@ _SIMULATE_FLAG_ERRORS = [
     (["--random", "0", "--init", FIVE_NODE], "--random must be at least 1, got 0"),
     (["--random", "2", "--init", FIVE_NODE], "pass exactly one of --init PATH or --random K"),
     ([], "pass exactly one of --init PATH or --random K"),
-    (["--random", "2", "--record-every", "0"], "record_every must be a positive integer, got 0"),
+    (["--random", "2", "--record-every", "0"], "record_every must be at least 1, got 0"),
     (["--random", "2", "--dt", "0.06", "--t-end", "0.1"],
      "t_end = 0.1 is not a whole number of steps of dt = 0.06 (t_end / dt = 1.66666666667)"),
-    (["--init", "missing.json", "--dt", "-1"], "dt must be positive and finite"),
+    (["--init", "missing.json", "--dt", "-1"], "dt must be positive and finite, got -1.0"),
 ]
 
 
