@@ -60,6 +60,7 @@ from .stability import (
     StabilityCertificate,
     default_lambda_samples,
     dfe_abscissa,
+    dfe_verdict,
     endemic_certificate,
     eta_bound,
     gershgorin_certificate,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -27,8 +28,7 @@ from .io import (
     write_trajectory_csv,
 )
 from .spectral import reproduction_number
-from .stability import (INCONCLUSIVE, STABLE, UNSTABLE, dfe_abscissa,
-                        endemic_certificate, lyapunov_value)
+from .stability import dfe_abscissa, dfe_verdict, endemic_certificate, lyapunov_value
 from .stability import jacobian_dfe, spectral_abscissa  # noqa: F401  (perfbench/spans.py wraps these names)
 from .sweep import run_sweep
 
@@ -78,8 +78,8 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
                   "residual": solved.residual, "bracket_gap": solved.bracket_gap}
         report, text = {"r0": r0, **record}, _text(r0, record)
     else:
-        tail = " [near threshold]" if solved.near_threshold else ""
-        text = f"NoEndemic (R0 = {solved.r0:.6f}){tail}"
+        reason = dfe_verdict(solved)[1]
+        text = f"NoEndemic (R0 = {solved.r0:.6f})" + (f" [{reason}]" if reason else "")
         report = {"r0": solved.r0, "no_endemic": True, "near_threshold": solved.near_threshold}
     if args.out:
         _save(args.out, report)
@@ -119,16 +119,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    """The DFE verdict is solve_endemic's threshold state of R0."""
+    """The DFE verdict is dfe_verdict of solve_endemic's result."""
     model = load_model(args.model)
     r0, spectral = reproduction_number(model)
-    dfe = {"abscissa": dfe_abscissa(model).abscissa, "verdict": STABLE}
+    abscissa = dfe_abscissa(model).abscissa
+    solved = solve_endemic(model, tol=args.tol, spectral=spectral)
+    verdict, reason = dfe_verdict(solved)
     report = {"r0": r0, "spectral": {"lambda": spectral.lam, "iterations": spectral.iterations,
                                      "residual": spectral.residual},
-              "dfe": dfe, "endemic": None}
-    solved = solve_endemic(model, tol=args.tol, spectral=spectral)
+              "dfe": {"abscissa": abscissa, "verdict": verdict, **({"reason": reason} if reason else {})},
+              "endemic": None}
     if isinstance(solved, EndemicEquilibrium):
-        dfe["verdict"] = UNSTABLE
         certificate = endemic_certificate(model, solved.y_star, tol=args.tol)
         report["endemic"] = {
             **_point(solved),
@@ -144,7 +145,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
             **({"reason": certificate.reason} if certificate.reason else {}),
         }
     elif solved.near_threshold:
-        dfe.update(verdict=INCONCLUSIVE, reason="near threshold")
         report["endemic"] = {"no_endemic": True, "near_threshold": True}
     print(_save(args.out, report))
     return 0
@@ -183,41 +183,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, tol: float | None = 1e-12) -> None:
+    def common(p: argparse.ArgumentParser, solver=None) -> None:
+        # --tol defaults to the tol of the library function the command calls
         p.add_argument("--model", required=True, help="model JSON file")
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol, help="solver tolerance")
+        if solver is not None:
+            p.add_argument("--tol", type=float, help="solver tolerance",
+                           default=inspect.signature(solver).parameters["tol"].default)
 
     p = sub.add_parser("r0", help="reproduction number and Perron eigenpair")
-    common(p, tol=1e-10)
+    common(p, reproduction_number)
     p.set_defaults(func=cmd_r0)
 
     p = sub.add_parser("equilibrium", help="endemic equilibrium, if any")
-    common(p)
+    common(p, solve_endemic)
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("simulate", help="integrate trajectories to CSV")
-    common(p, tol=None)
+    common(p)
     p.add_argument("--init", help="initial-condition JSON file")
     p.add_argument("--random", type=int, metavar="K",
                    help="draw K random initial conditions instead of --init")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-end", type=float, default=100.0)
-    p.add_argument("--record-every", type=int, default=1)
+    p.add_argument("--dt", type=float, default=IntegratorConfig.dt)
+    p.add_argument("--t-end", type=float, default=IntegratorConfig.t_end)
+    p.add_argument("--record-every", type=int, default=IntegratorConfig.record_every)
     p.add_argument("--lyapunov", action="store_true",
                    help="append the Lyapunov value column V")
     p.add_argument("--out", required=True, help="output CSV path (indexed per start)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("stability", help="stability certificate as JSON")
-    common(p)
+    common(p, solve_endemic)
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("sweep", help="scale W over a grid and tabulate")
-    common(p)
+    common(p, run_sweep)
     p.add_argument("--scale-min", type=float, required=True)
     p.add_argument("--scale-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)

@@ -98,15 +98,8 @@ def sample_initial_states(
 
 
 def trajectory_header(n: int, lyapunov: bool) -> str:
-    cols = (
-        ["t"]
-        + [f"y_{i}" for i in range(1, n + 1)]
-        + [f"z_{i}" for i in range(1, n + 1)]
-        + [f"x_{i}" for i in range(1, n + 1)]
-    )
-    if lyapunov:
-        cols.append("V")
-    return ",".join(cols)
+    cols = ["t"] + [f"{name}_{i}" for name in "yzx" for i in range(1, n + 1)]
+    return ",".join(cols + ["V"] * lyapunov)
 
 
 # rows per write: the formatted text of one chunk stays small

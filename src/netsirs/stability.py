@@ -7,7 +7,7 @@ simple real Perron root with a positive eigenvector, of the sign of
 R0 - 1. dfe_abscissa brackets that root from both sides with the
 Collatz-Wielandt ratios of spectral.perron_bracket, the loop that also
 gives R0, so the abscissa is certified on both sides, with no
-eigensolve. The DFE verdict is R0's threshold state (solve_endemic).
+eigensolve. The DFE verdict is R0's threshold state (dfe_verdict).
 
 Two complementary routes certify local stability of the endemic
 equilibrium. The direct route computes the spectral abscissa of the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EndemicEquilibrium, phi, x_star
+from .equilibrium import EndemicEquilibrium, NoEndemic, phi, x_star
 from .errors import (
     EigenFailureError,
     InvalidAtBoundaryError,
@@ -109,6 +109,15 @@ def dfe_abscissa(model: ModelInstance) -> DfeAbscissa:
     floor = -float(model.delta.min())
     _, lo, hi, solves = perron_bracket(B, DFE_TOL)
     return DfeAbscissa(max(0.5 * (lo + hi), floor), max(lo, floor), max(hi, floor), solves)
+
+
+def dfe_verdict(solved: EndemicEquilibrium | NoEndemic) -> tuple[str, str | None]:
+    """The DFE verdict and its reason from solve_endemic's result: Unstable
+    above the threshold band and Stable below it, certified as s(W - [gamma])
+    has the sign of R0 - 1, and Inconclusive ("near threshold") inside it."""
+    if isinstance(solved, EndemicEquilibrium):
+        return UNSTABLE, None
+    return (INCONCLUSIVE, "near threshold") if solved.near_threshold else (STABLE, None)
 
 
 def jacobian_endemic(

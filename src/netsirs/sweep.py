@@ -10,7 +10,7 @@ from .equilibrium import EndemicEquilibrium, solve_endemic
 from .errors import ModelInputError, NetsirsError, check_count, check_positive
 from .model import ModelInstance, validate_model
 from .spectral import reproduction_number
-from .stability import STABLE, dfe_abscissa, endemic_certificate
+from .stability import STABLE, dfe_abscissa, dfe_verdict, endemic_certificate
 from .stability import jacobian_dfe, jacobian_endemic, spectral_abscissa  # noqa: F401  (perfbench/spans.py wraps these names)
 
 
@@ -40,16 +40,15 @@ def run_sweep(
 
     Returns the rows in grid order plus the number of warnings: rows that
     failed, recorded as NaN with their error, and rows written as computed
-    whose scaled model lies near the threshold (NoEndemic.near_threshold)
-    or whose endemic_certificate verdict is not Stable, the verdict the
-    stability command reports. A steps that is a bool, not an integer or
-    below 1, a non-finite scale bound or a tol that is not positive and
-    finite raises ModelInputError before the first row. The
-    Perron pair of the model is solved once: rho(sM) = s rho(M) and the
-    eigenvectors do not move, so every row reuses it scaled by s. An error
-    of that one solve is not a row failure and propagates to the caller.
-    The DFE abscissa comes from dfe_abscissa, with no eigensolve; only the
-    certificate takes a dense one.
+    whose dfe_verdict, or above the threshold endemic_certificate verdict,
+    is not Stable: the verdicts the stability command reports. A steps
+    that is a bool, not an integer or below 1, a non-finite scale bound or
+    a tol that is not positive and finite raises ModelInputError before
+    the first row. The Perron pair of the model is solved once: rho(sM) =
+    s rho(M) and the eigenvectors do not move, so every row reuses it
+    scaled by s. An error of that one solve is not a row failure and
+    propagates to the caller. The DFE abscissa comes from dfe_abscissa,
+    with no eigensolve; only the certificate takes a dense one.
     """
     check_count(steps, "steps")
     if not np.all(np.isfinite((scale_min, scale_max))):
@@ -70,7 +69,7 @@ def run_sweep(
                 certificate = endemic_certificate(scaled, solved.y_star, tol=tol)
                 endemic, warned = certificate.spectral_abscissa, certificate.verdict != STABLE
             else:
-                norm, endemic, warned = 0.0, float("nan"), solved.near_threshold
+                norm, endemic, warned = 0.0, float("nan"), dfe_verdict(solved)[0] != STABLE
             warnings += warned
             rows.append(SweepRow(scale=scale, r0=spectral.lam, endemic_norm=norm,
                                  dfe_abscissa=dfe, endemic_abscissa=endemic))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import signal
 import threading
 
@@ -11,6 +12,22 @@ import helpers
 # longest a test may run; the slowest takes a few seconds, while a loop
 # that runs to its cap has held a test for about 100 s
 WALL_S = 60.0
+
+
+def pytest_report_header(config) -> str:
+    """numpy and the BLAS it runs on, with the OpenBLAS settings of this
+    process: the kernel and the thread count decide the last bits of BLAS
+    and LAPACK results."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    settings = ", ".join(f"{name}={os.environ.get(name, '(unset)')}"
+                         for name in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS"))
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, {settings}"
+
+
+def pytest_terminal_summary(terminalreporter, config) -> None:
+    # -q leaves out the report header, so a quiet log names the BLAS at its end
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture(autouse=True)

@@ -283,6 +283,16 @@ def r0_mpmath(model, dps: int = 50) -> float:
         return float(max(mpmath.re(lam) for lam in mpmath.eig(M, left=False, right=False)))
 
 
+def abscissa_mpmath(A: np.ndarray, dps: int = 60) -> float:
+    """Spectral abscissa of the float matrix A, exactly as stored, from a
+    dps-digit mpmath eigensolve."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        spectrum = mpmath.eig(mpmath.matrix(np.asarray(A).tolist()), left=False, right=False)
+        return float(max(mpmath.re(lam) for lam in spectrum))
+
+
 def _endemic_mp(model, dps: int):
     """W, gamma, delta and the endemic y* of the float model as mpmath
     values, y* to dps digits by Newton steps on the convex

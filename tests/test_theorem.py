@@ -221,16 +221,16 @@ def _five_node_at(r0_target: float):
     return validate_model(model.W * (r0_target / r0), model.gamma, model.delta)
 
 
-@pytest.mark.parametrize("excess, row", [(1e-10, "1,1.0000000001,0,9.99982285125e-11,nan"),
-                                         (-1e-10, "1,0.9999999999,0,-1.00001869577e-10,nan")])
-def test_five_node_inside_the_band(tmp_path, excess, row):
+@pytest.mark.parametrize("excess, r0", [(1e-10, "1.0000000001"), (-1e-10, "0.9999999999")])
+def test_five_node_inside_the_band(tmp_path, excess, r0):
     # one state on both sides of R0 = 1: stability writes DFE Inconclusive,
     # with its reason, beside the near marker, equilibrium prints [near
-    # threshold], the sweep counts its row as a warning and writes it; the
-    # DFE abscissa in it lies within 1.9e-15 of a 60-digit root of
-    # s(W - [gamma])
+    # threshold], the sweep counts its row as a warning and writes it. The
+    # DFE abscissa in it, about 1e-10, is as many digits as rounding leaves
+    # it: it lies in the bracket dfe_abscissa certifies, about 6e-15 wide
     path = str(tmp_path / "model.json")
-    helpers.save_model(_five_node_at(1.0 + excess), path)
+    model = _five_node_at(1.0 + excess)
+    helpers.save_model(model, path)
     states, failed, _ = _states(path, tmp_path)
     assert failed == [] and set(states) == {"equilibrium", "stability", "sweep"}
     assert {state for state, _ in states.values()} == {"near"}
@@ -241,7 +241,12 @@ def test_five_node_inside_the_band(tmp_path, excess, row):
     csv = tmp_path / "sweep.csv"
     assert _run("sweep", "--model", path, "--scale-min", "1", "--scale-max", "1", "--steps", "1",
                 "--out", str(csv))[1] == f"wrote {csv} (1 rows, 1 warnings)\n"
-    assert csv.read_text().splitlines()[1] == row
+    scale, r0_cell, norm, dfe, endemic = csv.read_text().splitlines()[1].split(",")
+    assert (scale, r0_cell, norm, endemic) == ("1", r0, "0", "nan")
+    bracket = dfe_abscissa(model)
+    assert bracket.upper - bracket.lower <= 1e-14
+    assert bracket.lower <= float(dfe) <= bracket.upper
+    assert float(dfe) * excess > 0.0
 
 
 @settings(deadline=None, max_examples=40)
